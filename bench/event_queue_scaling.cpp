@@ -18,11 +18,10 @@
 //  (2) >=2x schedule+drain throughput on the mixed periodic workload
 //      (C&C-beacon-style series + one-shot churn), the shape the campaign
 //      scenarios actually generate;
-//  (3) >=2x on the *dense* periodic regime (10⁴ concurrent minute-scale
-//      beacon series) for the calendar-wheel backend over the 4-ary heap,
-//      with the same bit-identical firing order — the heap's O(log n) sift
-//      is pure overhead there, the wheel inserts in O(1). Exported as the
-//      `calendar_speedup` floor and `calendar_event_ns` ceiling.
+//  (3) the *dense* periodic regime (10⁴ concurrent minute-scale beacon
+//      series) fires in a pinned order at a bounded per-event cost — the
+//      heap's worst case, since every firing re-arms through an
+//      O(log series) sift. Exported as the `dense_event_ns` ceiling.
 
 #include "bench_util.hpp"
 #include "sim/event_queue.hpp"
@@ -231,19 +230,13 @@ std::uint64_t cancel_drain(std::size_t events) {
   return h;
 }
 
-/// The dense periodic regime the calendar backend targets: `series`
-/// concurrent minute-scale beacons (60–120s periods, phase-staggered), the
-/// shape of a fleet-wide C&C check-in schedule. The pending set stays at
-/// `series` events for the whole run, so the 4-ary heap pays an
-/// O(log series) sift per firing while the wheel inserts in O(1) and pops
-/// from its lazily-sorted cursor bucket.
-std::uint64_t dense_periodic(sim::EventQueue::Backend backend,
-                             std::size_t series, sim::Duration horizon,
+/// The dense periodic regime: `series` concurrent minute-scale beacons
+/// (60–120s periods, phase-staggered), the shape of a fleet-wide C&C
+/// check-in schedule. The pending set stays at `series` events for the
+/// whole run, so every firing pays an O(log series) sift.
+std::uint64_t dense_periodic(std::size_t series, sim::Duration horizon,
                              std::uint64_t* executed = nullptr) {
-  // 2^12 32-ms buckets: a 131s window that keeps every re-arm of a <=120s
-  // period on the wheel (no overflow traffic), at a few keys per bucket.
-  sim::EventQueue q(backend, sim::CalendarConfig{/*bucket_bits=*/12,
-                                                 /*width_shift=*/5});
+  sim::EventQueue q;
   q.reserve(series);
   std::uint64_t h = 14695981039346656037ull;
   auto* qp = &q;
@@ -309,15 +302,31 @@ constexpr sim::Duration kReproHorizon = 240'000;
 // follow-ups; approximate, used only for the ev/s display column.
 constexpr std::size_t kMixedEvents = 2'150'000;
 // Dense regime: 10^4 concurrent beacon series — a fleet-sized check-in
-// schedule whose working set (slab + heap/wheel) is cache-resident, so the
-// measured gap is the queue structures themselves, not shared slab misses —
-// over 100 simulated minutes (~693k firings).
+// schedule whose working set (slab + heap) is cache-resident, so the
+// measured cost is the queue structures themselves, not shared slab misses —
+// over 100 simulated minutes (~693k firings). Both horizons' firing streams
+// are pinned: order-sensitive checksum and count, fatal on divergence.
 constexpr std::size_t kDenseSeries = 10'000;
 constexpr sim::Duration kDenseHorizon = 6'000'000;
-// Shorter horizon for the regression-tracked benchmark case (it runs both
-// backends per iteration; ~231k firings keeps one iteration under 50ms).
-constexpr std::size_t kDenseBenchSeries = 10'000;
+constexpr std::uint64_t kDenseChecksum = 0x9e33e1c85e741f4aull;
+constexpr std::uint64_t kDenseFirings = 693'199;
+// Shorter horizon for the regression-tracked benchmark case (~231k firings
+// keeps one iteration under 50ms).
 constexpr sim::Duration kDenseBenchHorizon = 2'000'000;
+constexpr std::uint64_t kDenseBenchChecksum = 0x2366237fcc5ba681ull;
+constexpr std::uint64_t kDenseBenchFirings = 231'074;
+
+void check_dense_pin(std::uint64_t sum, std::uint64_t executed,
+                     std::uint64_t pinned_sum, std::uint64_t pinned_firings) {
+  if (sum == pinned_sum && executed == pinned_firings) return;
+  std::printf("FATAL: dense periodic diverged from its pin "
+              "(%016llx/%llu, pinned %016llx/%llu)\n",
+              static_cast<unsigned long long>(sum),
+              static_cast<unsigned long long>(executed),
+              static_cast<unsigned long long>(pinned_sum),
+              static_cast<unsigned long long>(pinned_firings));
+  std::exit(1);
+}
 
 void reproduce_scaling() {
   benchutil::section(
@@ -361,42 +370,24 @@ void reproduce_scaling() {
 }
 
 void reproduce_dense_periodic() {
-  benchutil::section("dense periodic regime: calendar wheel vs 4-ary heap");
+  benchutil::section("dense periodic regime: 4-ary heap, pinned firing order");
   std::printf("%zu beacon series, 60-120s periods, %llds simulated horizon\n",
               kDenseSeries,
               static_cast<long long>(kDenseHorizon / 1000));
 
-  std::uint64_t heap_sum = 0;
-  std::uint64_t cal_sum = 0;
-  std::uint64_t heap_exec = 0;
-  std::uint64_t cal_exec = 0;
-  const double heap_ms = time_ms([&] {
-    heap_sum = dense_periodic(sim::EventQueue::Backend::kHeap, kDenseSeries,
-                              kDenseHorizon, &heap_exec);
+  std::uint64_t sum = 0;
+  std::uint64_t executed = 0;
+  const double ms = time_ms([&] {
+    sum = dense_periodic(kDenseSeries, kDenseHorizon, &executed);
   });
-  const double cal_ms = time_ms([&] {
-    cal_sum = dense_periodic(sim::EventQueue::Backend::kCalendar, kDenseSeries,
-                             kDenseHorizon, &cal_exec);
-  });
-  if (heap_sum != cal_sum || heap_exec != cal_exec) {
-    std::printf("FATAL: dense periodic diverged between backends "
-                "(%016llx/%llu vs %016llx/%llu)\n",
-                static_cast<unsigned long long>(heap_sum),
-                static_cast<unsigned long long>(heap_exec),
-                static_cast<unsigned long long>(cal_sum),
-                static_cast<unsigned long long>(cal_exec));
-    std::exit(1);
-  }
+  check_dense_pin(sum, executed, kDenseChecksum, kDenseFirings);
 
-  const auto events = static_cast<double>(cal_exec);
-  std::printf("%-18s %-12s %-14s %s\n", "backend", "ms", "ev/s", "ns/event");
-  std::printf("%-18s %-12.1f %-14.2fM %.0f\n", "4-ary heap", heap_ms,
-              events / heap_ms / 1000.0, heap_ms * 1e6 / events);
-  std::printf("%-18s %-12.1f %-14.2fM %.0f\n", "calendar wheel", cal_ms,
-              events / cal_ms / 1000.0, cal_ms * 1e6 / events);
-  std::printf("\ncalendar speedup: %.1fx over %llu events "
-              "(target: >=2x, order bit-identical)\n",
-              heap_ms / cal_ms, static_cast<unsigned long long>(cal_exec));
+  const auto events = static_cast<double>(executed);
+  std::printf("%-18s %-12s %-14s %s\n", "queue", "ms", "ev/s", "ns/event");
+  std::printf("%-18s %-12.1f %-14.2fM %.0f\n", "4-ary heap", ms,
+              events / ms / 1000.0, ms * 1e6 / events);
+  std::printf("\nfiring order matches the pin over %llu events\n",
+              static_cast<unsigned long long>(executed));
 }
 
 // ---------------------------------------------------------------------------
@@ -454,46 +445,29 @@ void BM_CancelDrainSlab(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelDrainSlab)->Arg(50'000)->Unit(benchmark::kMillisecond);
 
-/// Runs the dense periodic workload under BOTH backends each iteration:
-/// asserts order identity (fatal on divergence, same as the repro pass) and
-/// exports the CI-gated counters — `calendar_speedup` (floored) and
-/// `calendar_event_ns`, the calendar backend's per-event overhead (ceilinged).
-void BM_DensePeriodicCalendar(benchmark::State& state) {
-  // Best-of-N per backend: the workload is deterministic, so the minimum
-  // observed time is the noise-robust estimator — scheduler preemption on a
-  // loaded CI box only ever inflates a run, never deflates it. Three pairs
-  // per iteration so even a single-iteration smoke pass gets a stable ratio.
-  double heap_best = 1e300;
-  double cal_best = 1e300;
+/// Runs the dense periodic workload, checks its pinned firing stream (fatal
+/// on divergence, same as the repro pass) and exports the CI-gated
+/// `dense_event_ns` counter: the heap's per-event cost (ceilinged).
+void BM_DensePeriodicHeap(benchmark::State& state) {
+  // Best-of-N: the workload is deterministic, so the minimum observed time
+  // is the noise-robust estimator — scheduler preemption on a loaded CI box
+  // only ever inflates a run, never deflates it. Three runs per iteration
+  // so even a single-iteration smoke pass gets a stable figure.
+  double best = 1e300;
   std::uint64_t events = 0;
   for (auto _ : state) {
     for (int rep = 0; rep < 3; ++rep) {
-      std::uint64_t heap_sum = 0;
-      std::uint64_t cal_sum = 0;
-      heap_best = std::min(heap_best, time_ms([&] {
-        heap_sum = dense_periodic(sim::EventQueue::Backend::kHeap,
-                                  kDenseBenchSeries, kDenseBenchHorizon);
+      std::uint64_t sum = 0;
+      best = std::min(best, time_ms([&] {
+        sum = dense_periodic(kDenseSeries, kDenseBenchHorizon, &events);
       }));
-      cal_best = std::min(cal_best, time_ms([&] {
-        cal_sum = dense_periodic(sim::EventQueue::Backend::kCalendar,
-                                 kDenseBenchSeries, kDenseBenchHorizon,
-                                 &events);
-      }));
-      if (heap_sum != cal_sum) {
-        std::printf("FATAL: dense periodic diverged between backends "
-                    "(%016llx vs %016llx)\n",
-                    static_cast<unsigned long long>(heap_sum),
-                    static_cast<unsigned long long>(cal_sum));
-        std::exit(1);
-      }
-      benchmark::DoNotOptimize(cal_sum);
+      check_dense_pin(sum, events, kDenseBenchChecksum, kDenseBenchFirings);
+      benchmark::DoNotOptimize(sum);
     }
   }
-  state.counters["calendar_speedup"] = heap_best / cal_best;
-  state.counters["calendar_event_ns"] =
-      cal_best * 1e6 / static_cast<double>(events);
+  state.counters["dense_event_ns"] = best * 1e6 / static_cast<double>(events);
 }
-BENCHMARK(BM_DensePeriodicCalendar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DensePeriodicHeap)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -67,9 +67,6 @@ ShardedScheduler::ShardedScheduler(ShardPlan plan, Options options)
   states_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     states_.push_back(std::make_unique<ShardState>());
-    if (options_.backend != EventQueue::Backend::kHeap) {
-      states_[i]->queue.set_backend(options_.backend, options_.calendar);
-    }
   }
   if (options_.mode == Mode::kSingleQueue) {
     // All shards share queue 0; the observer recovers the executing shard
@@ -95,15 +92,6 @@ unsigned ShardedScheduler::workers() const {
 EventQueue& ShardedScheduler::queue_for(std::size_t shard) {
   return options_.mode == Mode::kSingleQueue ? states_[0]->queue
                                              : states_[shard]->queue;
-}
-
-void ShardedScheduler::set_shard_backend(std::size_t shard,
-                                         EventQueue::Backend backend,
-                                         EventQueue::CalendarConfig config) {
-  if (shard >= states_.size()) {
-    throw std::out_of_range("ShardedScheduler::set_shard_backend: no such shard");
-  }
-  queue_for(shard).set_backend(backend, config);
 }
 
 void ShardedScheduler::reserve(std::size_t shard, std::size_t events) {

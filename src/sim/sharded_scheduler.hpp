@@ -90,13 +90,6 @@ class ShardedScheduler {
     /// Worker threads for sharded rounds, caller included; 0 = hardware.
     /// Ignored in kSingleQueue mode.
     unsigned workers = 0;
-    /// Pending-set backend for every queue (the merged queue in
-    /// kSingleQueue mode, each shard's queue in kSharded mode). Pop order —
-    /// and therefore the trace checksum — is backend-independent, so heap
-    /// and calendar runs are interchangeable references for each other.
-    EventQueue::Backend backend = EventQueue::Backend::kHeap;
-    /// Wheel shape when backend == kCalendar.
-    EventQueue::CalendarConfig calendar = {};
   };
 
   /// Ceilings implied by the 40-bit key layout: 12 bits of origin shard,
@@ -114,13 +107,6 @@ class ShardedScheduler {
 
   Mode mode() const { return options_.mode; }
   std::size_t shard_count() const { return states_.size(); }
-
-  /// Per-shard backend override, for heterogeneous worlds where only some
-  /// sites run dense periodic workloads. Must be called before any event is
-  /// scheduled on the shard (EventQueue::set_backend throws otherwise). In
-  /// kSingleQueue mode every shard maps to the one merged queue.
-  void set_shard_backend(std::size_t shard, EventQueue::Backend backend,
-                         EventQueue::CalendarConfig config = {});
 
   /// Pre-sizes a shard's queue for `events` concurrently pending events
   /// (EventQueue::reserve), so storm setup allocates nothing per event.

@@ -106,60 +106,6 @@ std::size_t TraceLog::count_actor(std::string_view actor) const {
   return index == nullptr ? 0 : index->size();
 }
 
-std::vector<TraceRecord> TraceLog::query(
-    const std::function<bool(const TraceEventRef&)>& pred) const {
-  std::vector<TraceRecord> out;
-  for (const auto& e : events_) {
-    const TraceEventRef ref(*this, e);
-    if (pred(ref)) {
-      out.push_back(TraceRecord{e.time, e.category, std::string(ref.actor()),
-                                std::string(ref.action()),
-                                std::string(ref.detail())});
-    }
-  }
-  return out;
-}
-
-std::vector<TraceRecord> TraceLog::by_category(TraceCategory c) const {
-  std::vector<TraceRecord> out;
-  const auto& index = category_index(c);
-  out.reserve(index.size());
-  for (const auto i : index) {
-    const auto& e = events_[i];
-    out.push_back(TraceRecord{e.time, e.category, std::string(actor(e)),
-                              std::string(action(e)), std::string(detail(e))});
-  }
-  return out;
-}
-
-std::vector<TraceRecord> TraceLog::by_action(std::string_view action_str) const {
-  std::vector<TraceRecord> out;
-  if (const auto* index = action_index(action_str)) {
-    out.reserve(index->size());
-    for (const auto i : *index) {
-      const auto& e = events_[i];
-      out.push_back(TraceRecord{e.time, e.category, std::string(actor(e)),
-                                std::string(action(e)),
-                                std::string(detail(e))});
-    }
-  }
-  return out;
-}
-
-std::vector<TraceRecord> TraceLog::by_actor(std::string_view actor_str) const {
-  std::vector<TraceRecord> out;
-  if (const auto* index = actor_index(actor_str)) {
-    out.reserve(index->size());
-    for (const auto i : *index) {
-      const auto& e = events_[i];
-      out.push_back(TraceRecord{e.time, e.category, std::string(actor(e)),
-                                std::string(action(e)),
-                                std::string(detail(e))});
-    }
-  }
-  return out;
-}
-
 std::uint64_t TraceLog::fingerprint() const {
   std::uint64_t h = kFnvOffset;
   for (const auto& e : events_) {

@@ -440,31 +440,14 @@ TEST(EventQueueKeyedTest, NextTimeReportsFrontAndPrunesTombstones) {
   EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);
 }
 
-// --- Backend parity: the calendar wheel must be indistinguishable from the
-// --- heap except in cost. Small wheel (64 buckets x 16 ms = 1.024 s window)
-// --- so second-scale workloads exercise wrap-around and the overflow heap.
+// --- Heap ordering across wide horizons, keyed ties, tombstones and the key
+// --- ceiling. Second-scale gaps over millisecond ones so far and near keys
+// --- interleave in the heap.
 
-constexpr CalendarConfig kTinyWheel{/*bucket_bits=*/6, /*width_shift=*/4};
-
-class EventQueueBackendTest
-    : public ::testing::TestWithParam<EventQueue::Backend> {
- protected:
-  EventQueueBackendTest() : q(GetParam(), kTinyWheel) {}
+TEST(EventQueueHeapTest, RunsEventsInTimeOrderAcrossWideHorizons) {
   EventQueue q;
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueBackendTest,
-                         ::testing::Values(EventQueue::Backend::kHeap,
-                                           EventQueue::Backend::kCalendar),
-                         [](const auto& info) {
-                           return info.param == EventQueue::Backend::kHeap
-                                      ? "Heap"
-                                      : "Calendar";
-                         });
-
-TEST_P(EventQueueBackendTest, RunsEventsInTimeOrderAcrossTheWindow) {
   std::vector<int> order;
-  q.schedule_at(5000, [&] { order.push_back(4); });  // beyond the tiny window
+  q.schedule_at(5000, [&] { order.push_back(4); });
   q.schedule_at(30, [&] { order.push_back(1); });
   q.schedule_at(2000, [&] { order.push_back(3); });
   q.schedule_at(900, [&] { order.push_back(2); });
@@ -473,7 +456,8 @@ TEST_P(EventQueueBackendTest, RunsEventsInTimeOrderAcrossTheWindow) {
   EXPECT_EQ(q.now(), 5000);
 }
 
-TEST_P(EventQueueBackendTest, SameTimeKeyedEventsFireInKeyOrder) {
+TEST(EventQueueHeapTest, SameTimeKeyedEventsFireInKeyOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_keyed(100, /*key=*/5, 0, [&] { order.push_back(5); });
   q.schedule_keyed(100, /*key=*/1, 0, [&] { order.push_back(1); });
@@ -482,9 +466,10 @@ TEST_P(EventQueueBackendTest, SameTimeKeyedEventsFireInKeyOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 3, 5}));
 }
 
-TEST_P(EventQueueBackendTest, PeriodicSeriesSpansManyWindows) {
-  // Period far beyond the wheel window: every firing re-arms into the
-  // overflow heap and must still pop at the exact cadence.
+TEST(EventQueueHeapTest, PeriodicSeriesSpansManyWindows) {
+  // Every firing re-arms through the parked-root sift and must still pop at
+  // the exact cadence.
+  EventQueue q;
   std::vector<TimePoint> fires;
   auto series = q.schedule_every(3000, [&] { fires.push_back(q.now()); }, 3000);
   q.run_until(10'000);
@@ -493,10 +478,11 @@ TEST_P(EventQueueBackendTest, PeriodicSeriesSpansManyWindows) {
   EXPECT_EQ(q.run_all().executed, 0u);
 }
 
-TEST_P(EventQueueBackendTest, CancelNowReclaimsWheelAndOverflowEntries) {
+TEST(EventQueueHeapTest, CancelNowReclaimsNearAndFarEntries) {
+  EventQueue q;
   int fired = 0;
-  auto near = q.schedule_at(100, [&] { ++fired; });    // on the wheel
-  auto far = q.schedule_at(50'000, [&] { ++fired; });  // parked in overflow
+  auto near = q.schedule_at(100, [&] { ++fired; });
+  auto far = q.schedule_at(50'000, [&] { ++fired; });
   q.schedule_at(200, [&] { ++fired; });
   EXPECT_EQ(q.pending(), 3u);
   q.cancel_now(near);
@@ -507,14 +493,15 @@ TEST_P(EventQueueBackendTest, CancelNowReclaimsWheelAndOverflowEntries) {
   EXPECT_EQ(q.stats().pruned, 0u);  // eager removal leaves no tombstones
 }
 
-TEST_P(EventQueueBackendTest, NextTimePrunesTombstonesAndCountsThem) {
+TEST(EventQueueHeapTest, NextTimePrunesTombstonesAndCountsThem) {
+  EventQueue q;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 100; ++i) {
     doomed.push_back(q.schedule_at(40 * i, [] {}));
   }
   auto survivor = q.schedule_at(4500, [] {});
   for (auto& h : doomed) h.cancel();
-  // The horizon must skip every tombstone, and each one is counted scan
+  // The horizon must skip every tombstone, and each one is counted pop
   // work — a lazy-cancel pileup shows up in stats().pruned, loudly.
   EXPECT_EQ(q.next_time(), 4500);
   EXPECT_EQ(q.stats().pruned, 100u);
@@ -523,28 +510,26 @@ TEST_P(EventQueueBackendTest, NextTimePrunesTombstonesAndCountsThem) {
   EXPECT_EQ(q.stats().pruned, 100u);  // cancel_now added no tombstone
 }
 
-TEST_P(EventQueueBackendTest, CursorStaysMonotoneAfterTombstonePrune) {
-  // Regression: pruning a lazy-cancel tombstone via next_time() advances the
-  // calendar cursor past now() (here to day 31 of the 64x16ms wheel) while
-  // the clock stays at 0. An event then scheduled near now() sits *before*
-  // the cursor — it must park in the overflow heap and pop WITHOUT rewinding
-  // the cursor. The rewind left wheel keys beyond the window, wrapping their
-  // ring offsets so the scan fired day 94 (offset 24 from the rewound
-  // cursor) before day 68 (offset 62): a later event first, time backwards.
+TEST(EventQueueHeapTest, OrderStaysMonotoneAfterTombstonePrune) {
+  // Pruning a tombstone via next_time() does not move the clock, so an event
+  // scheduled afterwards may be due before the pruned one; it must still pop
+  // first, and later events must keep their order.
+  EventQueue q;
   auto doomed = q.schedule_at(500, [] {});
   doomed.cancel();
   EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);  // prunes the tombstone
   std::vector<TimePoint> fires;
-  q.schedule_at(1088, [&] { fires.push_back(q.now()); });  // day 68: wheel
-  q.schedule_at(1504, [&] { fires.push_back(q.now()); });  // day 94: wheel
-  q.schedule_at(100, [&] { fires.push_back(q.now()); });   // pre-cursor
+  q.schedule_at(1088, [&] { fires.push_back(q.now()); });
+  q.schedule_at(1504, [&] { fires.push_back(q.now()); });
+  q.schedule_at(100, [&] { fires.push_back(q.now()); });
   EXPECT_EQ(q.next_time(), 100);
   EXPECT_EQ(q.run_all().executed, 3u);
   EXPECT_EQ(fires, (std::vector<TimePoint>{100, 1088, 1504}));
   EXPECT_EQ(q.now(), 1504);
 }
 
-TEST_P(EventQueueBackendTest, KeysSurviveAtThe40BitCeiling) {
+TEST(EventQueueHeapTest, KeysSurviveAtThe40BitCeiling) {
+  EventQueue q;
   const std::uint64_t top = (std::uint64_t{1} << 40) - 1;
   std::vector<std::uint64_t> keys;
   q.set_execute_observer(
@@ -564,7 +549,8 @@ TEST_P(EventQueueBackendTest, KeysSurviveAtThe40BitCeiling) {
   EXPECT_EQ(keys, (std::vector<std::uint64_t>{0, top - 1, top}));
 }
 
-TEST_P(EventQueueBackendTest, ReserveDoesNotDisturbOrdering) {
+TEST(EventQueueHeapTest, ReserveDoesNotDisturbOrdering) {
+  EventQueue q;
   q.reserve(1000);
   std::vector<int> order;
   q.schedule_at(300, [&] { order.push_back(2); });
@@ -574,125 +560,67 @@ TEST_P(EventQueueBackendTest, ReserveDoesNotDisturbOrdering) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// The determinism contract behind ShardedScheduler's backend knob: the same
-// scripted workload — mixed horizons, keyed ties, periodic re-arms, lazy and
-// eager cancels, in-callback scheduling — must produce the exact same
-// (time, key, tag) execution stream under both backends.
-TEST(EventQueueBackendIdentityTest, CalendarMatchesHeapOnMixedWorkload) {
-  struct Record {
-    TimePoint t;
-    std::uint64_t key;
-    std::uint32_t tag;
-    bool operator==(const Record&) const = default;
-  };
-  auto run = [](EventQueue::Backend backend) {
-    EventQueue q(backend, kTinyWheel);
-    std::vector<Record> seen;
-    q.set_execute_observer(
-        [](void* ctx, TimePoint t, std::uint64_t key, std::uint32_t tag) {
-          static_cast<std::vector<Record>*>(ctx)->push_back(
-              Record{t, key, tag});
-        },
-        &seen);
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    std::vector<EventHandle> handles;
-    for (std::uint32_t i = 0; i < 512; ++i) {
-      const auto t = static_cast<TimePoint>(next() % 6000);
-      switch (i % 5) {
-        case 0:
-          handles.push_back(q.schedule_keyed(t, i, i & 7, [] {}));
-          break;
-        case 1:
-          handles.push_back(q.schedule_every(
-              static_cast<Duration>(1 + next() % 700), [] {}, t));
-          break;
-        default:
-          handles.push_back(q.schedule_at(t, [&q, &next] {
-            // In-callback scheduling lands relative to the moving clock.
-            q.schedule_at(q.now() + static_cast<TimePoint>(next() % 2000),
-                          [] {});
-          }));
-          break;
+// The pop-order oracle: a scripted workload — mixed horizons, keyed ties,
+// periodic re-arms, lazy and eager cancels, in-callback scheduling — must
+// produce the exact (time, key, tag) execution stream pinned below. A change
+// to the pending set that reorders anything moves the checksum.
+TEST(EventQueueHeapTest, MixedWorkloadStreamMatchesPinnedChecksum) {
+  EventQueue q;
+  struct Stream {
+    std::uint64_t count = 0;
+    std::uint64_t fnv = 0xcbf29ce484222325ull;  // FNV-1a over each field
+    void mix(std::uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        fnv = (fnv ^ ((v >> (8 * b)) & 0xff)) * 0x100000001b3ull;
       }
     }
-    q.run_until(2500);
-    for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
-    for (std::size_t i = 1; i < handles.size(); i += 9) {
-      q.cancel_now(handles[i]);
-    }
-    q.run_until(6000);
-    for (auto& h : handles) h.cancel();
-    q.run_all(/*max_events=*/50'000);
-    return seen;
+  } seen;
+  q.set_execute_observer(
+      [](void* ctx, TimePoint t, std::uint64_t key, std::uint32_t tag) {
+        auto& stream = *static_cast<Stream*>(ctx);
+        ++stream.count;
+        stream.mix(static_cast<std::uint64_t>(t));
+        stream.mix(key);
+        stream.mix(tag);
+      },
+      &seen);
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
   };
-  const auto heap_stream = run(EventQueue::Backend::kHeap);
-  const auto cal_stream = run(EventQueue::Backend::kCalendar);
-  ASSERT_GT(heap_stream.size(), 1000u);
-  EXPECT_EQ(heap_stream, cal_stream);
-}
-
-TEST(EventQueueBackendSwitchTest, SwitchRequiresAnEmptyQueue) {
-  EventQueue q;
-  auto h = q.schedule_at(10, [] {});
-  EXPECT_THROW(q.set_backend(EventQueue::Backend::kCalendar),
-               std::logic_error);
-  h.cancel();
-  // A lazy-cancel tombstone still occupies the pending set.
-  EXPECT_THROW(q.set_backend(EventQueue::Backend::kCalendar),
-               std::logic_error);
-  EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);  // prunes it
-  q.set_backend(EventQueue::Backend::kCalendar, kTinyWheel);
-  EXPECT_EQ(q.backend(), EventQueue::Backend::kCalendar);
-  int fired = 0;
-  q.schedule_at(q.now() + 100, [&] { ++fired; });
-  q.run_all();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueueBackendSwitchTest, RejectsDegenerateWheelShapes) {
-  EventQueue q;
-  EXPECT_THROW(q.set_backend(EventQueue::Backend::kCalendar,
-                             CalendarConfig{/*bucket_bits=*/5, 4}),
-               std::invalid_argument);
-  EXPECT_THROW(q.set_backend(EventQueue::Backend::kCalendar,
-                             CalendarConfig{/*bucket_bits=*/23, 4}),
-               std::invalid_argument);
-  EXPECT_THROW(q.set_backend(EventQueue::Backend::kCalendar,
-                             CalendarConfig{12, /*width_shift=*/41}),
-               std::invalid_argument);
-  EXPECT_EQ(q.backend(), EventQueue::Backend::kHeap);  // unchanged on throw
-}
-
-TEST(EventQueueCalendarTest, FrontScanWorkStaysLinearAtLowOccupancy) {
-  // 64 staggered series, period = one full wheel revolution: every bucket
-  // holds exactly one event, so each front scan examines one key. The pin is
-  // deliberately loose (2x) but fails loudly if occupancy degenerates —
-  // e.g. a wheel-shape or cursor bug piling every event into one bucket.
-  EventQueue q(EventQueue::Backend::kCalendar, kTinyWheel);
-  std::vector<EventHandle> series;
-  for (int i = 0; i < 64; ++i) {
-    series.push_back(q.schedule_every(1024, [] {}, 16 * i));
+  std::vector<EventHandle> handles;
+  for (std::uint32_t i = 0; i < 512; ++i) {
+    const auto t = static_cast<TimePoint>(next() % 6000);
+    switch (i % 5) {
+      case 0:
+        handles.push_back(q.schedule_keyed(t, i, i & 7, [] {}));
+        break;
+      case 1:
+        handles.push_back(q.schedule_every(
+            static_cast<Duration>(1 + next() % 700), [] {}, t));
+        break;
+      default:
+        handles.push_back(q.schedule_at(t, [&q, &next] {
+          // In-callback scheduling lands relative to the moving clock.
+          q.schedule_at(q.now() + static_cast<TimePoint>(next() % 2000),
+                        [] {});
+        }));
+        break;
+    }
   }
-  q.run_until(60'000);
-  const auto& stats = q.stats();
-  EXPECT_GT(stats.executed, 3000u);
-  EXPECT_GT(stats.front_scan_keys, 0u);
-  EXPECT_LE(stats.front_scan_keys, 2 * stats.executed);
-  for (auto& h : series) h.cancel();
-}
-
-TEST(EventQueueCalendarTest, HeapBackendReportsNoScanWork) {
-  EventQueue q;
-  q.schedule_at(10, [] {});
-  q.schedule_every(5, [] {}, 5);
-  q.run_until(100);
-  EXPECT_EQ(q.stats().front_scan_keys, 0u);
+  q.run_until(2500);
+  for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
+  for (std::size_t i = 1; i < handles.size(); i += 9) {
+    q.cancel_now(handles[i]);
+  }
+  q.run_until(6000);
+  for (auto& h : handles) h.cancel();
+  q.run_all(/*max_events=*/50'000);
+  EXPECT_EQ(seen.count, 1276u);
+  EXPECT_EQ(seen.fnv, 0xea13826fa0367453ull);
 }
 
 TEST(SimulationTest, LogStampsCurrentTime) {
