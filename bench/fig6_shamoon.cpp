@@ -11,6 +11,9 @@
 #include "malware/shamoon/shamoon.hpp"
 #include "sim/sweep.hpp"
 
+#include <algorithm>
+#include <chrono>
+
 using namespace cyd;
 
 namespace {
@@ -163,6 +166,33 @@ void BM_FleetDetonation(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetDetonation)->Arg(100)->Arg(500)
     ->Unit(benchmark::kMillisecond);
+
+/// Exports the CI-ceilinged `fleet_scaling_500_over_100` counter: the
+/// 500-host detonation's time over the 100-host one, both measured in this
+/// process. Linear scaling reads ~5; a per-tick scan of the whole subnet
+/// makes the model quadratic in fleet size and pushes it past 15.
+void BM_FleetScaling(benchmark::State& state) {
+  // Best-of-N per size: the run is deterministic, so preemption on a loaded
+  // box only ever inflates a sample.
+  const auto best_ms = [](std::size_t hosts) {
+    double best = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      reproduce_detonation(hosts, nullptr);
+      best = std::min(best, std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    }
+    return best;
+  };
+  double ratio = 0;
+  for (auto _ : state) {
+    ratio = best_ms(500) / best_ms(100);
+    benchmark::DoNotOptimize(ratio);
+  }
+  state.counters["fleet_scaling_500_over_100"] = ratio;
+}
+BENCHMARK(BM_FleetScaling)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -22,7 +22,10 @@ Stack& Network::attach(winsys::Host& host, const std::string& subnet,
   auto stack = std::make_unique<Stack>(*this, host, subnet, std::move(ip));
   Stack* raw = stack.get();
   stacks_.emplace(host.name(), std::move(stack));
-  subnets_[subnet].push_back(raw);
+  std::vector<Stack*>& members = subnets_[subnet];
+  raw->members_ = &members;
+  raw->index_ = members.size();
+  members.push_back(raw);
   host.attach_stack(raw);
   sim_.log(sim::TraceCategory::kNetwork, host.name(), "net.attach",
            "subnet=" + subnet + " ip=" + raw->ip());

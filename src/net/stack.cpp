@@ -242,12 +242,4 @@ bool Stack::spooler_exploit_print(const std::string& target_host,
   return true;
 }
 
-std::vector<std::string> Stack::scan_subnet() const {
-  std::vector<std::string> out;
-  for (Stack* member : network_.subnet_members(subnet_)) {
-    if (member != this) out.push_back(member->host_name());
-  }
-  return out;
-}
-
 }  // namespace cyd::net

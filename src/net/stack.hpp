@@ -115,16 +115,28 @@ class Stack {
                              const std::string& dropper_name,
                              common::Bytes dropper_payload);
 
-  /// Names of other hosts visible on this subnet (network scan).
-  std::vector<std::string> scan_subnet() const;
+  // --- subnet peers (network scan) ---
+  /// Number of other stacks on this subnet.
+  std::size_t peer_count() const { return members_->size() - 1; }
+  /// The i-th other stack on this subnet, in attach order; i < peer_count().
+  /// Lateral movement draws i with one Rng::uniform_int, allocation-free.
+  Stack* peer(std::size_t i) const {
+    return (*members_)[i < index_ ? i : i + 1];
+  }
 
  private:
+  friend class Network;  // attach() records members_/index_
+
   std::optional<HttpResponse> route_direct(const HttpRequest& request);
 
   Network& network_;
   winsys::Host& host_;
   std::string subnet_;
   std::string ip_;
+  // This subnet's member list (owned by Network, append-only, so the vector
+  // object and this stack's position in it never change) and our index.
+  const std::vector<Stack*>* members_ = nullptr;
+  std::size_t index_ = 0;
   std::map<std::string, HttpHandler> endpoints_;
   std::map<std::string, winsys::Path> shares_;
   std::optional<std::string> proxy_;

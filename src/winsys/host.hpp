@@ -231,7 +231,7 @@ class Host {
     components_[key] = std::move(component);
   }
   template <typename T>
-  T* component(const std::string& key) {
+  T* component(std::string_view key) {
     auto it = components_.find(key);
     return it == components_.end() ? nullptr
                                    : dynamic_cast<T*>(it->second.get());
@@ -299,7 +299,8 @@ class Host {
   Bluetooth bluetooth_;
   net::Stack* stack_ = nullptr;
 
-  std::map<std::string, std::shared_ptr<HostComponent>> components_;
+  std::map<std::string, std::shared_ptr<HostComponent>, std::less<>>
+      components_;
   std::vector<EventLogEntry> event_log_;
   std::size_t event_log_cap_ = 4096;
   std::size_t event_log_dropped_ = 0;

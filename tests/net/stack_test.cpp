@@ -70,10 +70,10 @@ TEST_F(NetTest, AttachTwiceThrows) {
                std::invalid_argument);
 }
 
-TEST_F(NetTest, ScanSubnetSeesPeersOnly) {
-  EXPECT_EQ(alpha_.stack()->scan_subnet(),
-            (std::vector<std::string>{"bravo"}));
-  EXPECT_TRUE(charlie_.stack()->scan_subnet().empty());
+TEST_F(NetTest, SubnetPeersExcludeSelf) {
+  ASSERT_EQ(alpha_.stack()->peer_count(), 1u);
+  EXPECT_EQ(alpha_.stack()->peer(0), bravo_.stack());
+  EXPECT_EQ(charlie_.stack()->peer_count(), 0u);
 }
 
 TEST_F(NetTest, InternetRequiresAccess) {
