@@ -38,14 +38,13 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <vector>
 
 using namespace cyd;
+using benchutil::fatal;
+using benchutil::time_ms;
 
 namespace {
 
@@ -140,21 +139,6 @@ KitPile make_kit_pile(std::size_t n, std::uint64_t seed) {
     pile.kit_of.push_back(static_cast<std::uint32_t>(kit));
   }
   return pile;
-}
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-[[noreturn]] void fatal(const char* fmt, double a, double b) {
-  std::printf("FATAL: ");
-  std::printf(fmt, a, b);
-  std::printf("\n");
-  std::exit(1);
 }
 
 /// Recall of the candidate stage against the exact edge set: the fraction

@@ -10,8 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,6 +36,42 @@ inline void header(const std::string& title, const std::string& paper_ref) {
 
 inline void section(const std::string& name) {
   std::printf("\n-- %s --\n", name.c_str());
+}
+
+/// Wall-clock milliseconds one call of `fn` takes.
+template <class Fn>
+double time_ms(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Prints "FATAL: <message>" and exits nonzero: how every bench fails a
+/// correctness gate, so no later table or counter is reported.
+[[noreturn, gnu::format(printf, 1, 2)]] inline void fatal(const char* fmt,
+                                                         ...) {
+  std::printf("\nFATAL: ");
+  std::va_list args;
+  va_start(args, fmt);
+  std::vprintf(fmt, args);
+  va_end(args);
+  std::printf("\n");
+  std::exit(1);
+}
+
+/// Fatal unless `actual` equals its golden `pinned` value, printing both.
+/// Pins are deterministic checksums recorded at a commit where the result
+/// was checked (most of them where a seed implementation still ran beside
+/// the current path and agreed), so a divergence is a behaviour change, not
+/// noise.
+inline void check_pin(const char* what, std::uint64_t actual,
+                      std::uint64_t pinned) {
+  if (actual == pinned) return;
+  fatal("%s diverged from its pin (%016llx, pinned %016llx)", what,
+        static_cast<unsigned long long>(actual),
+        static_cast<unsigned long long>(pinned));
 }
 
 /// printf-compatible sink that buffers instead of writing to stdout. The

@@ -1,19 +1,20 @@
-// CNC-THROUGHPUT — the C&C request pipeline vs the retained seed server.
+// CNC-THROUGHPUT — the C&C request pipeline under beacon storms.
 //
-// The seed CncServer paid for every beacon with an O(clients) select_where
-// scan over string-map rows, two format_time allocations, stoull/to_string
-// round-trips, and an owned-copy decode of the request body. This bench
-// retains that hot path verbatim (SeedServer below, simulation-free so the
-// comparison is handler-vs-handler) and race-checks cnc::RequestEngine
-// against it:
+// The seed CncServer paid for every beacon with an O(clients) scan over
+// string-map rows, two format_time allocations, stoull/to_string round-trips,
+// and an owned-copy decode of the request body. cnc::RequestEngine replaced
+// that handler. The golden checksums below were recorded while the seed
+// handler still ran beside it over the same streams and both produced them,
+// so matching a pin means matching the seed:
 //
-//  (1) Identity, fatally asserted: over identical beacon streams the seed
-//      path and the pipeline produce bit-identical response chains and
-//      state checksums — the speedup is a refactor, not a behavior change.
-//      In the sharded storm the merged checksums must also match at every
-//      worker count (single-queue reference, 1, 2, hw workers).
-//  (2) Single-thread throughput: >=5x over the seed path, fatally asserted;
-//      `beacons_per_sec` exported as a bench_diff floor.
+//  (1) Identity, fatally asserted: over fixed beacon streams the pipeline's
+//      response chain and state checksum match their pins. In the sharded
+//      storm the merged checksums must match their pin and the single-queue
+//      run at every worker count (1, 2, hw workers).
+//  (2) Single-thread throughput: `beacons_per_sec` exported as a bench_diff
+//      floor; `cnc_client_scaling` (per-beacon time at 3,200 clients over
+//      400) as a ceiling that O(clients) per-beacon work — the seed's scan —
+//      blows.
 //  (3) Storm scaling: one engine per site shard on sim::ShardedScheduler,
 //      >=2x over the single-queue run on 4+ cores (fatal when the cores
 //      exist); `cnc_storm_speedup_4core` exported on 4+-core machines.
@@ -28,15 +29,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cnc/crypto.hpp"
-#include "cnc/database.hpp"
 #include "cnc/pipeline.hpp"
 #include "cnc/wire.hpp"
 #include "sim/rng.hpp"
@@ -45,243 +42,10 @@
 #include "sim/time.hpp"
 
 using namespace cyd;
+using benchutil::fatal;
+using benchutil::time_ms;
 
 namespace {
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-[[noreturn]] void fatal(const char* what) {
-  std::printf("\nFATAL: %s\n", what);
-  std::exit(1);
-}
-
-// ---------------------------------------------------------------------------
-// The retained seed path: the pre-pipeline CncServer request handling, kept
-// verbatim minus the Simulation/TraceLog hooks (time is a parameter) so both
-// sides measure exactly the handler. Database rows are updated eagerly per
-// beacon, clients are found by select_where scans, pickup and purge walk the
-// whole entries vector — the costs the pipeline removes.
-
-class SeedServer {
- public:
-  net::HttpResponse handle(const net::HttpRequest& request,
-                           sim::TimePoint now) {
-    net::HttpResponse response = dispatch(request, now);
-    response_chain_ =
-        cnc::RequestEngine::fold_response(response_chain_, response);
-    return response;
-  }
-
-  std::vector<cnc::Entry> take_new_entries() {
-    std::vector<cnc::Entry> out;
-    for (auto& entry : entries_) {
-      if (!entry.retrieved) {
-        entry.retrieved = true;
-        out.push_back(entry);
-      }
-    }
-    return out;
-  }
-
-  std::size_t purge_retrieved(sim::TimePoint cutoff) {
-    const std::size_t before = entries_.size();
-    std::erase_if(entries_, [cutoff](const cnc::Entry& e) {
-      return e.retrieved && e.received_at <= cutoff;
-    });
-    return before - entries_.size();
-  }
-
-  void push_news(cnc::Payload payload) {
-    news_.emplace_back(next_news_seq_++, std::move(payload));
-  }
-
-  void push_ad(const std::string& client_id, cnc::Payload payload) {
-    ads_[client_id].push_back(std::move(payload));
-  }
-
-  std::uint64_t response_chain() const { return response_chain_; }
-
-  /// Same digest steps as RequestEngine::state_checksum, computed from the
-  /// seed-side representation (rows in id order == first-contact order).
-  std::uint64_t state_checksum() const {
-    std::uint64_t h = cnc::kChecksumBasis;
-    h = cnc::checksum_mix(h, get_news_);
-    h = cnc::checksum_mix(h, uploads_);
-    h = cnc::checksum_mix(h, upload_bytes_);
-    h = cnc::checksum_mix(h, rejected_);
-    std::uint64_t pending = 0;
-    for (const auto& [client, payloads] : ads_) pending += payloads.size();
-    h = cnc::checksum_mix(h, pending);
-    if (const cnc::Table* clients = db_.find_table("clients")) {
-      for (const auto& [id, row] : clients->rows()) {
-        h = cnc::checksum_mix_bytes(h, row.at("client_id"));
-        h = cnc::checksum_mix_bytes(h, row.at("type"));
-        h = cnc::checksum_mix(h, std::stoull(row.at("contacts")));
-        h = cnc::checksum_mix(h, std::stoull(row.at("last_news_seq")));
-      }
-    }
-    std::uint64_t retrieved = 0;
-    for (const cnc::Entry& e : entries_) {
-      h = cnc::checksum_mix_bytes(h, e.client_id);
-      h = cnc::checksum_mix_bytes(h, e.data_name);
-      h = cnc::checksum_mix(h, e.blob.key_id);
-      h = cnc::checksum_mix_bytes(h, e.blob.ciphertext);
-      h = cnc::checksum_mix(h, static_cast<std::uint64_t>(e.received_at));
-      h = cnc::checksum_mix(h, e.retrieved ? 1u : 0u);
-      h = cnc::checksum_mix(h, e.id);
-      if (e.retrieved) ++retrieved;
-    }
-    h = cnc::checksum_mix(h, retrieved);  // == the pipeline's watermark
-    h = cnc::checksum_mix(h, news_.size());
-    h = cnc::checksum_mix(h, next_news_seq_);
-    h = cnc::checksum_mix(h, next_entry_id_);
-    return h;
-  }
-
- private:
-  net::HttpResponse dispatch(const net::HttpRequest& request,
-                             sim::TimePoint now) {
-    if (request.path != "/newsforyou") {
-      ++rejected_;
-      return net::HttpResponse{404, {}};
-    }
-    auto cmd = request.params.find("cmd");
-    if (cmd == request.params.end()) {
-      ++rejected_;
-      return net::HttpResponse{400, {}};
-    }
-    if (cmd->second == "GET_NEWS") return handle_get_news(request, now);
-    if (cmd->second == "ADD_ENTRY") return handle_add_entry(request, now);
-    ++rejected_;
-    return net::HttpResponse{400, {}};
-  }
-
-  cnc::Row* client_row(const std::string& client_id, const std::string& type,
-                       sim::TimePoint now) {
-    auto& clients = db_.table("clients");
-    auto matches = clients.select_where("client_id", client_id);
-    if (!matches.empty()) {
-      cnc::Row* row = clients.find(matches.front().first);
-      (*row)["last_seen"] = sim::format_time(now);
-      (*row)["contacts"] = std::to_string(std::stoull((*row)["contacts"]) + 1);
-      return row;
-    }
-    cnc::Row row;
-    row["client_id"] = client_id;
-    row["type"] = type;
-    row["first_seen"] = sim::format_time(now);
-    row["last_seen"] = row["first_seen"];
-    row["contacts"] = "1";
-    row["last_news_seq"] = "0";
-    const auto id = clients.insert(std::move(row));
-    return clients.find(id);
-  }
-
-  net::HttpResponse handle_get_news(const net::HttpRequest& request,
-                                    sim::TimePoint now) {
-    auto client_it = request.params.find("client");
-    if (client_it == request.params.end()) {
-      ++rejected_;
-      return net::HttpResponse{400, {}};
-    }
-    const std::string& client_id = client_it->second;
-    auto type_it = request.params.find("type");
-    const std::string type =
-        type_it == request.params.end() ? cnc::kClientTypeFl : type_it->second;
-
-    ++get_news_;
-    access_log_.push_back(sim::format_time(now) + " GET_NEWS client=" +
-                          client_id + " type=" + type);
-    cnc::Row* row = client_row(client_id, type, now);
-
-    std::vector<cnc::Payload> delivery;
-    if (auto it = ads_.find(client_id); it != ads_.end()) {
-      for (auto& payload : it->second) delivery.push_back(std::move(payload));
-      ads_.erase(it);
-    }
-    std::uint64_t last_seen = std::stoull((*row)["last_news_seq"]);
-    for (const auto& [seq, payload] : news_) {
-      if (seq > last_seen) {
-        delivery.push_back(payload);
-        last_seen = seq;
-      }
-    }
-    (*row)["last_news_seq"] = std::to_string(last_seen);
-    return net::HttpResponse{200, cnc::serialize_payloads(delivery)};
-  }
-
-  net::HttpResponse handle_add_entry(const net::HttpRequest& request,
-                                     sim::TimePoint now) {
-    auto client_it = request.params.find("client");
-    if (client_it == request.params.end()) {
-      ++rejected_;
-      return net::HttpResponse{400, {}};
-    }
-    const std::string& client_id = client_it->second;
-    auto type_it = request.params.find("type");
-    const std::string type =
-        type_it == request.params.end() ? cnc::kClientTypeFl : type_it->second;
-
-    const std::string_view body = request.body;
-    if (body.size() < 8 || body.substr(0, 4) != "UPL1") {
-      ++rejected_;
-      return net::HttpResponse{400, {}};
-    }
-    std::string data_name;
-    cnc::EncryptedBlob blob;
-    try {
-      const std::uint32_t name_len = common::get_u32(body, 4);
-      if (8 + name_len > body.size()) {
-        ++rejected_;
-        return net::HttpResponse{400, {}};
-      }
-      data_name = std::string(body.substr(8, name_len));
-      auto parsed = cnc::EncryptedBlob::parse(body.substr(8 + name_len));
-      if (!parsed) {
-        ++rejected_;
-        return net::HttpResponse{400, {}};
-      }
-      blob = std::move(*parsed);
-    } catch (const std::out_of_range&) {
-      ++rejected_;
-      return net::HttpResponse{400, {}};
-    }
-
-    client_row(client_id, type, now);
-    cnc::Entry entry;
-    entry.id = next_entry_id_++;
-    entry.client_id = client_id;
-    entry.client_type = type;
-    entry.data_name = data_name;
-    entry.received_at = now;
-    upload_bytes_ += blob.ciphertext.size();
-    ++uploads_;
-    entry.blob = std::move(blob);
-    entries_.push_back(std::move(entry));
-    access_log_.push_back(sim::format_time(now) + " ADD_ENTRY client=" +
-                          client_id + " name=" + data_name);
-    return net::HttpResponse{200, "OK"};
-  }
-
-  cnc::Database db_;
-  std::map<std::string, std::vector<cnc::Payload>> ads_;
-  std::vector<std::pair<std::uint64_t, cnc::Payload>> news_;
-  std::uint64_t next_news_seq_ = 1;
-  std::vector<cnc::Entry> entries_;
-  std::uint64_t next_entry_id_ = 1;
-  std::vector<std::string> access_log_;
-  std::uint64_t get_news_ = 0;
-  std::uint64_t uploads_ = 0;
-  std::uint64_t upload_bytes_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t response_chain_ = cnc::kChecksumBasis;
-};
 
 // ---------------------------------------------------------------------------
 // Deterministic beacon streams. An op is either a wave of requests (one
@@ -358,25 +122,6 @@ struct RunResult {
   std::uint64_t state_checksum = 0;
 };
 
-RunResult run_seed(const OpStream& stream) {
-  SeedServer server;
-  server.push_news(cnc::Payload{"mod-broadcast", "broadcast module bytes"});
-  RunResult result;
-  result.ms = time_ms([&] {
-    for (const Op& op : stream.ops) {
-      if (op.pickup) {
-        server.take_new_entries();
-        server.purge_retrieved(op.purge_cutoff);
-      } else {
-        for (const net::HttpRequest& r : op.requests) server.handle(r, op.at);
-      }
-    }
-  });
-  result.response_chain = server.response_chain();
-  result.state_checksum = server.state_checksum();
-  return result;
-}
-
 RunResult run_pipeline(const OpStream& stream) {
   cnc::RequestEngine engine;
   engine.push_news(cnc::Payload{"mod-broadcast", "broadcast module bytes"});
@@ -394,16 +139,6 @@ RunResult run_pipeline(const OpStream& stream) {
   result.response_chain = engine.response_chain();
   result.state_checksum = engine.state_checksum();
   return result;
-}
-
-void check_single_thread_identity(const RunResult& seed,
-                                  const RunResult& pipeline) {
-  if (pipeline.response_chain != seed.response_chain) {
-    fatal("pipeline response chain diverged from the seed path");
-  }
-  if (pipeline.state_checksum != seed.state_checksum) {
-    fatal("pipeline state checksum diverged from the seed path");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -430,40 +165,6 @@ struct StormResult {
   cnc::StormMerge merge;
   double ms = 0.0;
 };
-
-/// Serial seed-path reference for the storm: one SeedServer per shard, each
-/// replaying its stream, merged with the same shard-order fold the pipeline
-/// uses.
-StormResult run_storm_seed(const std::vector<OpStream>& streams) {
-  StormResult result;
-  std::vector<std::uint64_t> chains, states;
-  result.ms = time_ms([&] {
-    for (const OpStream& stream : streams) {
-      SeedServer server;
-      server.push_news(
-          cnc::Payload{"mod-broadcast", "broadcast module bytes"});
-      for (const Op& op : stream.ops) {
-        if (op.pickup) {
-          server.take_new_entries();
-          server.purge_retrieved(op.purge_cutoff);
-        } else {
-          for (const net::HttpRequest& r : op.requests) server.handle(r, op.at);
-        }
-      }
-      chains.push_back(server.response_chain());
-      states.push_back(server.state_checksum());
-    }
-  });
-  result.merge.response_checksum = cnc::kChecksumBasis;
-  result.merge.state_checksum = cnc::kChecksumBasis;
-  for (std::size_t k = 0; k < chains.size(); ++k) {
-    result.merge.response_checksum =
-        cnc::checksum_mix(result.merge.response_checksum, chains[k]);
-    result.merge.state_checksum =
-        cnc::checksum_mix(result.merge.state_checksum, states[k]);
-  }
-  return result;
-}
 
 StormResult run_storm_pipeline(const std::vector<OpStream>& streams,
                                sim::ShardedScheduler::Mode mode,
@@ -506,16 +207,39 @@ StormResult run_storm_pipeline(const std::vector<OpStream>& streams,
   return result;
 }
 
-void check_storm_identity(const StormResult& reference,
-                          const StormResult& candidate, const char* label) {
-  if (candidate.merge.response_checksum != reference.merge.response_checksum) {
-    std::printf("  (%s)\n", label);
-    fatal("storm merged response checksum diverged");
-  }
-  if (candidate.merge.state_checksum != reference.merge.state_checksum) {
-    std::printf("  (%s)\n", label);
-    fatal("storm merged state checksum diverged");
-  }
+/// A run's (response chain, state checksum) pair, or a merged storm's.
+struct Checksums {
+  std::uint64_t response = 0;
+  std::uint64_t state = 0;
+};
+
+Checksums checksums(const RunResult& r) {
+  return {r.response_chain, r.state_checksum};
+}
+
+Checksums checksums(const StormResult& r) {
+  return {r.merge.response_checksum, r.merge.state_checksum};
+}
+
+// Golden checksums, each recorded while the seed handler still replayed the
+// same stream(s) and produced the same pair.
+// The repro pass's 60k-beacon stream, 800 clients.
+constexpr Checksums kReproPin{0x2708e4d06f540d35ull, 0xd906bbe435765b86ull};
+// smoke_stream (400 clients) and wide_stream (3,200 clients).
+constexpr Checksums kSmokePin{0x6acfe7b63608d0b1ull, 0x0562828605a0ca82ull};
+constexpr Checksums kWidePin{0x3f8669d0a0899f47ull, 0x0e87f708409862e3ull};
+// The repro pass's 8-shard storm, merged in shard order.
+constexpr Checksums kStormPin{0x086a11762c3c0defull, 0x455aa106326812deull};
+
+void check_checksums(const char* what, const Checksums& got,
+                     const Checksums& expected) {
+  if (got.response == expected.response && got.state == expected.state) return;
+  fatal("%s diverged (response %016llx, state %016llx; expected %016llx, "
+        "%016llx)",
+        what, static_cast<unsigned long long>(got.response),
+        static_cast<unsigned long long>(got.state),
+        static_cast<unsigned long long>(expected.response),
+        static_cast<unsigned long long>(expected.state));
 }
 
 // ---------------------------------------------------------------------------
@@ -579,24 +303,17 @@ void reproduce_cnc_throughput() {
   const auto key_pair = cnc::CncKeyPair::generate(0xc2c0ffee);
   const auto upload_key = cnc::public_half(key_pair);
 
-  benchutil::section("single-thread: zero-copy pipeline vs retained seed path");
+  benchutil::section("single-thread: zero-copy pipeline");
   const OpStream flat =
       make_stream(0xbea7, /*clients=*/800, /*waves=*/400, /*wave_size=*/150,
                   sim::kMinute, /*pickup_every=*/20, upload_key, "c-");
   std::printf("%zu beacons, 800 clients, pickup+purge every 20 waves\n",
               flat.beacons);
-  const RunResult seed = run_seed(flat);
   const RunResult pipeline = run_pipeline(flat);
-  check_single_thread_identity(seed, pipeline);
-  const double speedup = seed.ms / pipeline.ms;
-  std::printf("seed path:  %8.1f ms  (%.0f beacons/s)\n", seed.ms,
-              1000.0 * static_cast<double>(flat.beacons) / seed.ms);
+  check_checksums("pipeline", checksums(pipeline), kReproPin);
   std::printf("pipeline:   %8.1f ms  (%.0f beacons/s)\n", pipeline.ms,
               1000.0 * static_cast<double>(flat.beacons) / pipeline.ms);
-  std::printf("speedup %.1fx; responses and state bit-identical\n", speedup);
-  if (speedup < 5.0) {
-    fatal("single-thread pipeline speedup below the 5x floor");
-  }
+  std::printf("responses and state match the pinned checksums\n");
 
   benchutil::section("sharded beacon storm (8 site shards)");
   const auto streams = make_storm_streams(/*shards=*/8,
@@ -607,11 +324,9 @@ void reproduce_cnc_throughput() {
   for (const auto& s : streams) total += s.beacons;
   std::printf("%zu beacons across 8 shards; 6h WAN ring lookahead\n", total);
 
-  const StormResult storm_seed = run_storm_seed(streams);
   const StormResult single =
       run_storm_pipeline(streams, sim::ShardedScheduler::Mode::kSingleQueue, 1);
-  check_storm_identity(storm_seed, single, "single-queue vs serial seed");
-  std::printf("serial seed path: %8.1f ms\n", storm_seed.ms);
+  check_checksums("single-queue storm", checksums(single), kStormPin);
   std::printf("single-queue:     %8.1f ms (pipeline reference)\n", single.ms);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -623,15 +338,15 @@ void reproduce_cnc_throughput() {
   for (const unsigned workers : worker_counts) {
     const StormResult sharded = run_storm_pipeline(
         streams, sim::ShardedScheduler::Mode::kSharded, workers);
-    check_storm_identity(storm_seed, sharded, "sharded vs serial seed");
-    check_storm_identity(single, sharded, "sharded vs single-queue");
+    check_checksums("sharded storm vs single-queue", checksums(sharded),
+                    checksums(single));
     const double s = single.ms / sharded.ms;
     best_speedup = std::max(best_speedup, s);
     std::printf("%-10u %-12.1f %-10.2f %-18s\n", workers, sharded.ms, s,
                 "yes (bit-identical)");
   }
-  std::printf("\nevery run (seed, single-queue, sharded x%zu) merged to "
-              "identical response/state checksums.\n",
+  std::printf("\nevery run (single-queue, sharded x%zu) merged to the "
+              "pinned response/state checksums.\n",
               worker_counts.size());
   if (hw >= 4) {
     std::printf("best storm speedup %.2fx on %u cores (target: >=2x)\n",
@@ -665,10 +380,16 @@ void reproduce_cnc_throughput() {
 // google-benchmark cases for regression tracking (BENCH_*.json baselines)
 
 OpStream smoke_stream(const cnc::CncPublicKey& upload_key) {
-  // 400 clients keeps the seed path's O(clients) scan cost dominant, so the
-  // cnc_seed_speedup floor sits well clear of runner noise.
   return make_stream(0x57a7e, /*clients=*/400, /*waves=*/60, /*wave_size=*/100,
                      sim::kMinute, /*pickup_every=*/15, upload_key, "c-");
+}
+
+/// smoke_stream's beacon count over 8x the clients: the other side of the
+/// cnc_client_scaling ratio.
+OpStream wide_stream(const cnc::CncPublicKey& upload_key) {
+  return make_stream(0x57a7e, /*clients=*/3200, /*waves=*/60,
+                     /*wave_size=*/100, sim::kMinute, /*pickup_every=*/15,
+                     upload_key, "c-");
 }
 
 const cnc::CncPublicKey& bench_key() {
@@ -676,15 +397,6 @@ const cnc::CncPublicKey& bench_key() {
       cnc::public_half(cnc::CncKeyPair::generate(0xc2c0ffee));
   return key;
 }
-
-void BM_CncSeedBaseline(benchmark::State& state) {
-  const OpStream stream = smoke_stream(bench_key());
-  for (auto _ : state) {
-    const RunResult r = run_seed(stream);
-    benchmark::DoNotOptimize(r.state_checksum);
-  }
-}
-BENCHMARK(BM_CncSeedBaseline)->Unit(benchmark::kMillisecond);
 
 void BM_CncPipeline(benchmark::State& state) {
   const OpStream stream = smoke_stream(bench_key());
@@ -705,27 +417,35 @@ void BM_CncPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_CncPipeline)->Unit(benchmark::kMillisecond);
 
-void BM_CncSpeedup(benchmark::State& state) {
-  const OpStream stream = smoke_stream(bench_key());
-  double seed_ms = 0.0;
-  double pipeline_ms = 0.0;
+/// Per-beacon pipeline time at 3,200 clients over the same at 400, each
+/// side best-of-3 in one process, so runner speed cancels. An interned
+/// client index keeps it near 1 (1.2-1.7 on a 4-core Xeon); O(clients)
+/// per-beacon work, like the seed handler's row scan, read 4.6-6.6.
+/// CI ceilings it at 3.
+void BM_CncClientScaling(benchmark::State& state) {
+  const OpStream narrow = smoke_stream(bench_key());
+  const OpStream wide = wide_stream(bench_key());
+  double narrow_ms = 1e300;
+  double wide_ms = 1e300;
   for (auto _ : state) {
-    const RunResult seed = run_seed(stream);
-    const RunResult pipeline = run_pipeline(stream);
-    check_single_thread_identity(seed, pipeline);  // exits on divergence
-    seed_ms += seed.ms;
-    pipeline_ms += pipeline.ms;
-    benchmark::DoNotOptimize(pipeline.state_checksum);
+    for (int rep = 0; rep < 3; ++rep) {
+      const RunResult n = run_pipeline(narrow);
+      const RunResult w = run_pipeline(wide);
+      check_checksums("pipeline (400 clients)", checksums(n), kSmokePin);
+      check_checksums("pipeline (3,200 clients)", checksums(w), kWidePin);
+      narrow_ms = std::min(narrow_ms, n.ms);
+      wide_ms = std::min(wide_ms, w.ms);
+    }
   }
-  // Hard floors: 1.0 means every response/state checksum matched (the
-  // process died before reporting otherwise); the speedup is single-thread,
-  // so it exists on any machine.
+  // Hard gates: 1.0 means every response/state checksum matched its pin (the
+  // process died before reporting otherwise); the scaling ratio is a
+  // ceiling.
   state.counters["cnc_response_match"] = 1.0;
-  if (pipeline_ms > 0.0) {
-    state.counters["cnc_seed_speedup"] = seed_ms / pipeline_ms;
-  }
+  state.counters["cnc_client_scaling"] =
+      (wide_ms / static_cast<double>(wide.beacons)) /
+      (narrow_ms / static_cast<double>(narrow.beacons));
 }
-BENCHMARK(BM_CncSpeedup)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CncClientScaling)->Unit(benchmark::kMillisecond);
 
 void BM_CncShardedStorm(benchmark::State& state) {
   const auto streams = make_storm_streams(/*shards=*/4,
@@ -740,7 +460,8 @@ void BM_CncShardedStorm(benchmark::State& state) {
         streams, sim::ShardedScheduler::Mode::kSingleQueue, 1);
     const StormResult sharded =
         run_storm_pipeline(streams, sim::ShardedScheduler::Mode::kSharded, 0);
-    check_storm_identity(single, sharded, "sharded vs single-queue");
+    check_checksums("sharded storm vs single-queue", checksums(sharded),
+                    checksums(single));
     single_ms += single.ms;
     sharded_ms += sharded.ms;
     benchmark::DoNotOptimize(sharded.merge.state_checksum);
@@ -773,7 +494,7 @@ BENCHMARK(BM_CncStormPurge)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   benchutil::header(
-      "CNC-THROUGHPUT: sharded C&C request pipeline vs retained seed server",
+      "CNC-THROUGHPUT: sharded C&C request pipeline",
       "framework performance for the Fig. 5 C&C platform under beacon storms");
   if (!benchutil::has_flag(argc, argv, "--no-repro")) {
     reproduce_cnc_throughput();

@@ -40,19 +40,19 @@
 #include "winsys/host_image.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <new>
 #include <string>
 #include <vector>
 
 using namespace cyd;
+using benchutil::fatal;
+using benchutil::time_ms;
 
 // ---------------------------------------------------------------------------
 // Counting allocator hook: cumulative requested bytes, for the per-host
@@ -77,19 +77,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 constexpr const char* kFamily = malware::stuxnet::Stuxnet::kFamily;
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-[[noreturn]] void fatal(const std::string& message) {
-  std::printf("FATAL: %s\n", message.c_str());
-  std::exit(1);
-}
 
 /// VmRSS / VmHWM in kB from /proc/self/status (0 when unavailable) — for
 /// reporting only; the gated numbers come from the deterministic heap hook.
@@ -143,13 +130,13 @@ void check_twin_equivalence() {
   const auto cow_files = cow.fs().all_files();
   const auto mat_files = mat.fs().all_files();
   if (cow_files.size() != mat_files.size()) {
-    fatal("twin divergence: " + std::to_string(cow_files.size()) + " vs " +
-          std::to_string(mat_files.size()) + " files");
+    fatal("twin divergence: %zu vs %zu files", cow_files.size(),
+          mat_files.size());
   }
   for (std::size_t i = 0; i < cow_files.size(); ++i) {
     if (cow_files[i].str() != mat_files[i].str() ||
         cow.fs().read_file(cow_files[i]) != mat.fs().read_file(mat_files[i])) {
-      fatal("twin divergence at " + cow_files[i].str());
+      fatal("twin divergence at %s", cow_files[i].str().c_str());
     }
   }
   if (cow.registry().all_entries() != mat.registry().all_entries()) {
@@ -185,8 +172,8 @@ void reproduce_identity(const std::string& exe_dir, bool print_checksums) {
   for (const auto& expected : repro::kSeedChecksums) {
     const std::string raw = repro::run_sibling(exe_dir, expected.bench);
     if (raw.empty()) {
-      fatal(std::string("could not run ") + exe_dir + "/" + expected.bench +
-            " (build all bench targets first)");
+      fatal("could not run %s/%s (build all bench targets first)",
+            exe_dir.c_str(), expected.bench);
     }
     const std::string report = repro::strip_timing_lines(raw);
     const std::uint64_t got = repro::fnv1a64(report);
@@ -203,9 +190,9 @@ void reproduce_identity(const std::string& exe_dir, bool print_checksums) {
   }
   if (print_checksums) return;
   if (mismatches > 0) {
-    fatal(std::to_string(mismatches) +
-          " repro output(s) diverged from the seed baselines — the COW "
-          "substrate must be bit-transparent");
+    fatal("%zu repro output(s) diverged from the seed baselines — the COW "
+          "substrate must be bit-transparent",
+          mismatches);
   }
   std::printf("\nall %zu retained fig/trend/ablation/attribution outputs are "
               "byte-identical through the image/COW refactor.\n",
@@ -409,8 +396,9 @@ void reproduce_trend_b_at_scale() {
   row("targeted", targeted);
 
   if (mass.victims < 90'000) {
-    fatal("mass posture reached only " + std::to_string(mass.victims) +
-          " victims — expected the paper's ~100k epidemic");
+    fatal("mass posture reached only %zu victims — expected the paper's "
+          "~100k epidemic",
+          mass.victims);
   }
   if (targeted.dwell >= 0 || targeted.collateral != 0) {
     fatal("targeted posture leaked outside the target org");
@@ -553,8 +541,8 @@ void reproduce_trend_e_at_scale() {
               campaign.cascades_injected, campaign.destroyed, campaign.total,
               campaign.safety_tripped ? "TRIPPED" : "never tripped");
   if (campaign.total != 9'020) {
-    fatal("expected the full 9,020-centrifuge Natanz hall, built " +
-          std::to_string(campaign.total));
+    fatal("expected the full 9,020-centrifuge Natanz hall, built %zu",
+          campaign.total);
   }
   if (!campaign.gap_crossed || campaign.destroyed == 0) {
     fatal("the 1:1 campaign failed to cross the gap and destroy centrifuges");
@@ -629,8 +617,7 @@ void reproduce_memory() {
   std::printf("%-44s %14.1fx\n", "cow_ratio (gated >= 10x, fatal)",
               m.ratio());
   if (m.ratio() < 10.0) {
-    fatal("per-host memory ratio " + std::to_string(m.ratio()) +
-          "x is below the 10x gate");
+    fatal("per-host memory ratio %fx is below the 10x gate", m.ratio());
   }
 
   benchutil::section("archetype image inventory");

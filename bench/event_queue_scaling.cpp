@@ -5,20 +5,15 @@
 // sweeps execute. The seed implementation paid one shared_ptr<bool> control
 // block per schedule_at (the cancellation handle) plus a std::function heap
 // closure for any capture past two words, and sifted 64+-byte entries
-// through a binary std::priority_queue. The reworked core (slab slots +
-// SBO callables + compact 4-ary heap + native periodic scheduling) is
-// measured here against that seed design, kept below verbatim as
-// LegacyEventQueue — the same pattern sweep_scaling uses for LegacyTraceLog,
-// so the ratio is measured against the real baseline rather than remembered.
+// through a binary std::priority_queue. The reworked core is slab slots +
+// SBO callables + a compact 4-ary heap + native periodic scheduling.
 //
-// Three claims:
-//  (1) identical semantics: both implementations fire the same events in the
-//      same (time, insertion) order on every workload — asserted via
-//      order-sensitive checksums, fatal on divergence;
-//  (2) >=2x schedule+drain throughput on the mixed periodic workload
-//      (C&C-beacon-style series + one-shot churn), the shape the campaign
-//      scenarios actually generate;
-//  (3) the *dense* periodic regime (10⁴ concurrent minute-scale beacon
+// Two claims:
+//  (1) unchanged semantics: every workload fires the same events in the
+//      same (time, insertion) order as the seed queue did — asserted via
+//      order-sensitive checksums pinned while the seed queue still ran
+//      beside the slab core and agreed with it, fatal on divergence;
+//  (2) the *dense* periodic regime (10⁴ concurrent minute-scale beacon
 //      series) fires in a pinned order at a bounded per-event cost — the
 //      heap's worst case, since every firing re-arms through an
 //      O(log series) sift. Exported as the `dense_event_ns` ceiling.
@@ -28,142 +23,15 @@
 #include "sim/time.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <memory>
-#include <queue>
-#include <utility>
+#include <cstdio>
 #include <vector>
 
 using namespace cyd;
+using benchutil::check_pin;
+using benchutil::time_ms;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// The seed implementation, verbatim in design: a copyable handle backed by a
-// shared_ptr<bool>, std::function closures, and a std::priority_queue of
-// fat entries.
-
-class LegacyEventHandle {
- public:
-  LegacyEventHandle() : cancelled_(std::make_shared<bool>(false)) {}
-  void cancel() { *cancelled_ = true; }
-  bool cancelled() const { return *cancelled_; }
-
- private:
-  std::shared_ptr<bool> cancelled_;
-};
-
-class LegacyEventQueue {
- public:
-  LegacyEventHandle schedule_at(sim::TimePoint t, std::function<void()> fn) {
-    LegacyEventHandle handle;
-    queue_.push(Entry{std::max(t, now_), next_seq_++, std::move(fn), handle});
-    return handle;
-  }
-
-  sim::TimePoint now() const { return now_; }
-  std::size_t pending() const { return queue_.size(); }
-
-  bool step() {
-    while (!queue_.empty()) {
-      Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-      queue_.pop();
-      if (entry.handle.cancelled()) continue;
-      now_ = entry.time;
-      entry.fn();
-      return true;
-    }
-    return false;
-  }
-
-  std::size_t run_until(sim::TimePoint deadline) {
-    std::size_t executed = 0;
-    while (!queue_.empty() && queue_.top().time <= deadline) {
-      if (step()) ++executed;
-    }
-    now_ = std::max(now_, deadline);
-    return executed;
-  }
-
-  std::size_t run_all() {
-    std::size_t executed = 0;
-    while (step()) ++executed;
-    return executed;
-  }
-
- private:
-  struct Entry {
-    sim::TimePoint time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    LegacyEventHandle handle;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  sim::TimePoint now_ = 0;
-  std::uint64_t next_seq_ = 0;
-};
-
-/// The seed's Simulation::every, verbatim in design: a recursive
-/// heap-allocated closure that re-schedules itself each firing.
-LegacyEventHandle legacy_every(LegacyEventQueue& q, sim::Duration period,
-                               std::function<void()> fn) {
-  LegacyEventHandle series;
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_tick = tick;
-  *tick = [&q, period, fn = std::move(fn), series, weak_tick]() {
-    if (series.cancelled()) return;
-    fn();
-    if (series.cancelled()) return;
-    if (auto self = weak_tick.lock()) {
-      q.schedule_at(q.now() + period, [self] { (*self)(); });
-    }
-  };
-  q.schedule_at(q.now() + period, [tick] { (*tick)(); });
-  return series;
-}
-
-// ---------------------------------------------------------------------------
-// Thin adapters so one workload definition drives both implementations.
-
-struct SlabApi {
-  static constexpr const char* kName = "slab + 4-ary heap";
-  sim::EventQueue q;
-  using Handle = sim::EventHandle;
-
-  template <class F>
-  Handle at(sim::TimePoint t, F&& fn) {
-    return q.schedule_at(t, std::forward<F>(fn));
-  }
-  template <class F>
-  Handle every(sim::Duration period, F&& fn) {
-    return q.schedule_every(period, std::forward<F>(fn), q.now() + period);
-  }
-};
-
-struct LegacyApi {
-  static constexpr const char* kName = "seed (shared_ptr + std::function)";
-  LegacyEventQueue q;
-  using Handle = LegacyEventHandle;
-
-  template <class F>
-  Handle at(sim::TimePoint t, F&& fn) {
-    return q.schedule_at(t, std::forward<F>(fn));
-  }
-  template <class F>
-  Handle every(sim::Duration period, F&& fn) {
-    return legacy_every(q, period, std::forward<F>(fn));
-  }
-};
 
 // Order-sensitive checksum mixer: any divergence in firing order, time, or
 // payload identity between the implementations changes the result.
@@ -173,9 +41,8 @@ inline void mix(std::uint64_t& h, std::uint64_t v) {
 
 /// One-shot churn: `events` events at pseudo-random times over a horizon,
 /// scheduled up front, drained in one run_all.
-template <class Api>
 std::uint64_t schedule_drain(std::size_t events) {
-  Api api;
+  sim::EventQueue q;
   std::uint64_t h = 14695981039346656037ull;
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   for (std::size_t i = 0; i < events; ++i) {
@@ -184,49 +51,52 @@ std::uint64_t schedule_drain(std::size_t events) {
     state ^= state << 17;
     const auto t = static_cast<sim::TimePoint>(state % 1'000'000);
     const std::uint64_t salt = i * 0x9e37ull;  // 3-word capture, like a beacon
-    api.at(t, [&h, t, salt] { mix(h, static_cast<std::uint64_t>(t) + salt); });
+    q.schedule_at(
+        t, [&h, t, salt] { mix(h, static_cast<std::uint64_t>(t) + salt); });
   }
-  api.q.run_all();
+  q.run_all();
   return h;
 }
 
 /// The acceptance workload: `series` periodic beacons (C&C check-ins, purge
 /// tasks, centrifuge ticks) with co-prime-ish periods, each eighth firing
 /// spawning a one-shot follow-up — the shape a campaign scenario generates.
-template <class Api>
 std::uint64_t mixed_periodic(std::size_t series, sim::Duration horizon) {
-  Api api;
-  auto* q = &api.q;
+  sim::EventQueue queue;
+  auto* q = &queue;
   std::uint64_t h = 14695981039346656037ull;
   for (std::size_t i = 0; i < series; ++i) {
     const sim::Duration period = 3 + static_cast<sim::Duration>(i % 17);
     std::uint64_t ticks = 0;
-    api.every(period, [q, &h, i, ticks]() mutable {
-      mix(h, static_cast<std::uint64_t>(q->now()) * 31 + i);
-      if (++ticks % 8 == 0) {
-        const auto t = q->now() + 1;
-        q->schedule_at(t, [&h, t] { mix(h, static_cast<std::uint64_t>(t)); });
-      }
-    });
+    q->schedule_every(
+        period,
+        [q, &h, i, ticks]() mutable {
+          mix(h, static_cast<std::uint64_t>(q->now()) * 31 + i);
+          if (++ticks % 8 == 0) {
+            const auto t = q->now() + 1;
+            q->schedule_at(t,
+                           [&h, t] { mix(h, static_cast<std::uint64_t>(t)); });
+          }
+        },
+        q->now() + period);
   }
-  api.q.run_until(horizon);
+  q->run_until(horizon);
   return h;
 }
 
 /// Cancellation churn: schedule a batch, cancel every other handle, drain.
-template <class Api>
 std::uint64_t cancel_drain(std::size_t events) {
-  Api api;
+  sim::EventQueue q;
   std::uint64_t h = 14695981039346656037ull;
-  std::vector<typename Api::Handle> handles;
+  std::vector<sim::EventHandle> handles;
   handles.reserve(events);
   for (std::size_t i = 0; i < events; ++i) {
     const auto t = static_cast<sim::TimePoint>((i * 7919) % 100'000);
     handles.push_back(
-        api.at(t, [&h, t] { mix(h, static_cast<std::uint64_t>(t)); }));
+        q.schedule_at(t, [&h, t] { mix(h, static_cast<std::uint64_t>(t)); }));
   }
   for (std::size_t i = 0; i < events; i += 2) handles[i].cancel();
-  api.q.run_all();
+  q.run_all();
   return h;
 }
 
@@ -256,41 +126,7 @@ std::uint64_t dense_periodic(std::size_t series, sim::Duration horizon,
 }
 
 // ---------------------------------------------------------------------------
-// Reproduction pass: identity proof + throughput table.
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-struct Measurement {
-  double legacy_ms = 0;
-  double slab_ms = 0;
-};
-
-Measurement measure(const char* workload, std::size_t events,
-                    std::uint64_t (*legacy)(), std::uint64_t (*slab)()) {
-  std::uint64_t legacy_sum = 0;
-  std::uint64_t slab_sum = 0;
-  Measurement m;
-  m.legacy_ms = time_ms([&] { legacy_sum = legacy(); });
-  m.slab_ms = time_ms([&] { slab_sum = slab(); });
-  if (legacy_sum != slab_sum) {
-    std::printf("FATAL: %s diverged between implementations "
-                "(%016llx vs %016llx)\n",
-                workload, static_cast<unsigned long long>(legacy_sum),
-                static_cast<unsigned long long>(slab_sum));
-    std::exit(1);
-  }
-  const double levents = static_cast<double>(events);
-  std::printf("%-18s %-12.1f %-12.1f %-10.2f %.1fM -> %.1fM ev/s\n", workload,
-              m.legacy_ms, m.slab_ms, m.legacy_ms / m.slab_ms,
-              levents / m.legacy_ms / 1000.0, levents / m.slab_ms / 1000.0);
-  return m;
-}
+// Reproduction pass: pinned firing orders + throughput table.
 
 constexpr std::size_t kReproEvents = 200'000;
 constexpr std::size_t kReproSeries = 64;
@@ -315,52 +151,63 @@ constexpr std::uint64_t kDenseFirings = 693'199;
 constexpr sim::Duration kDenseBenchHorizon = 2'000'000;
 constexpr std::uint64_t kDenseBenchChecksum = 0x2366237fcc5ba681ull;
 constexpr std::uint64_t kDenseBenchFirings = 231'074;
+// Sizes of the regression-tracked schedule/mixed/cancel cases.
+constexpr std::size_t kBenchEvents = 50'000;
+constexpr sim::Duration kBenchHorizon = 8'000;
+
+// Golden firing-order checksums at the repro and benchmark sizes, recorded
+// while the seed queue still ran each workload beside the slab core and
+// both produced the same value.
+constexpr std::uint64_t kScheduleDrainPin = 0x215638a3fc6ff376ull;
+constexpr std::uint64_t kMixedPeriodicPin = 0x03699cd8bdd9b18cull;
+constexpr std::uint64_t kCancelDrainPin = 0xcbba98ab8831b1e5ull;
+constexpr std::uint64_t kBenchScheduleDrainPin = 0xb15909426bdeadf4ull;
+constexpr std::uint64_t kBenchMixedPeriodicPin = 0x98ba3da9101fda4bull;
+constexpr std::uint64_t kBenchCancelDrainPin = 0x6ebcd4d704c31095ull;
 
 void check_dense_pin(std::uint64_t sum, std::uint64_t executed,
                      std::uint64_t pinned_sum, std::uint64_t pinned_firings) {
-  if (sum == pinned_sum && executed == pinned_firings) return;
-  std::printf("FATAL: dense periodic diverged from its pin "
-              "(%016llx/%llu, pinned %016llx/%llu)\n",
-              static_cast<unsigned long long>(sum),
-              static_cast<unsigned long long>(executed),
-              static_cast<unsigned long long>(pinned_sum),
-              static_cast<unsigned long long>(pinned_firings));
-  std::exit(1);
+  check_pin("dense periodic checksum", sum, pinned_sum);
+  check_pin("dense periodic firings", executed, pinned_firings);
+}
+
+/// Times one workload, checks its pinned checksum (fatal on divergence) and
+/// prints its table row.
+void measure(const char* workload, std::size_t events, std::uint64_t pin,
+             std::uint64_t (*run)()) {
+  std::uint64_t sum = 0;
+  const double ms = time_ms([&] { sum = run(); });
+  check_pin(workload, sum, pin);
+  std::printf("%-18s %-12.1f %.1fM ev/s\n", workload, ms,
+              static_cast<double>(events) / ms / 1000.0);
 }
 
 void reproduce_scaling() {
   benchutil::section(
-      "schedule/cancel/drain throughput: slab core vs seed implementation");
-  std::printf("%-18s %-12s %-12s %-10s %s\n", "workload", "seed-ms", "slab-ms",
-              "speedup", "throughput");
+      "schedule/cancel/drain throughput: slab core, pinned firing order");
+  std::printf("%-18s %-12s %s\n", "workload", "slab-ms", "throughput");
 
-  measure("schedule+drain", kReproEvents,
-          [] { return schedule_drain<LegacyApi>(kReproEvents); },
-          [] { return schedule_drain<SlabApi>(kReproEvents); });
-  const auto mixed = measure(
-      "mixed periodic", kMixedEvents,
-      [] { return mixed_periodic<LegacyApi>(kReproSeries, kReproHorizon); },
-      [] { return mixed_periodic<SlabApi>(kReproSeries, kReproHorizon); });
-  measure("cancel half", kReproEvents,
-          [] { return cancel_drain<LegacyApi>(kReproEvents); },
-          [] { return cancel_drain<SlabApi>(kReproEvents); });
+  measure("schedule+drain", kReproEvents, kScheduleDrainPin,
+          [] { return schedule_drain(kReproEvents); });
+  measure("mixed periodic", kMixedEvents, kMixedPeriodicPin,
+          [] { return mixed_periodic(kReproSeries, kReproHorizon); });
+  measure("cancel half", kReproEvents, kCancelDrainPin,
+          [] { return cancel_drain(kReproEvents); });
 
-  std::printf("\nmixed-periodic speedup: %.1fx (target: >=2x)\n",
-              mixed.legacy_ms / mixed.slab_ms);
-  std::printf("every checksum agreed: both cores fire identical (time, seq) "
-              "sequences.\n");
+  std::printf("\nevery checksum matched its pin: the core fires the seed "
+              "queue's (time, seq) sequences.\n");
 
-  // Scheduler observability: the counters the slab core now exports.
-  SlabApi api;
+  // Scheduler observability: the counters the slab core exports.
+  sim::EventQueue q;
   std::uint64_t sink = 0;
   for (std::size_t i = 0; i < 1000; ++i) {
-    api.at(static_cast<sim::TimePoint>(i % 97), [&sink] { ++sink; });
+    q.schedule_at(static_cast<sim::TimePoint>(i % 97), [&sink] { ++sink; });
   }
-  auto series = api.every(5, [&sink] { ++sink; });
-  api.q.run_until(200);
+  auto series = q.schedule_every(5, [&sink] { ++sink; }, q.now() + 5);
+  q.run_until(200);
   series.cancel();
-  api.q.run_all();
-  const auto& stats = api.q.stats();
+  q.run_all();
+  const auto& stats = q.stats();
   std::printf("\nscheduler counters (sample run): scheduled=%llu "
               "executed=%llu cancelled=%llu peak_pending=%zu\n",
               static_cast<unsigned long long>(stats.scheduled),
@@ -393,57 +240,38 @@ void reproduce_dense_periodic() {
 // ---------------------------------------------------------------------------
 // google-benchmark cases for regression tracking (BENCH_*.json baselines)
 
-void BM_ScheduleDrainLegacy(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto h = schedule_drain<LegacyApi>(events);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_ScheduleDrainLegacy)->Arg(50'000)->Unit(benchmark::kMillisecond);
-
 void BM_ScheduleDrainSlab(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto h = schedule_drain<SlabApi>(events);
+    const auto h = schedule_drain(events);
+    check_pin("schedule+drain", h, kBenchScheduleDrainPin);
     benchmark::DoNotOptimize(h);
   }
 }
-BENCHMARK(BM_ScheduleDrainSlab)->Arg(50'000)->Unit(benchmark::kMillisecond);
-
-void BM_MixedPeriodicLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    auto h = mixed_periodic<LegacyApi>(64, 8'000);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_MixedPeriodicLegacy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScheduleDrainSlab)
+    ->Arg(kBenchEvents)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MixedPeriodicSlab(benchmark::State& state) {
   for (auto _ : state) {
-    auto h = mixed_periodic<SlabApi>(64, 8'000);
+    const auto h = mixed_periodic(kReproSeries, kBenchHorizon);
+    check_pin("mixed periodic", h, kBenchMixedPeriodicPin);
     benchmark::DoNotOptimize(h);
   }
 }
 BENCHMARK(BM_MixedPeriodicSlab)->Unit(benchmark::kMillisecond);
 
-void BM_CancelDrainLegacy(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto h = cancel_drain<LegacyApi>(events);
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_CancelDrainLegacy)->Arg(50'000)->Unit(benchmark::kMillisecond);
-
 void BM_CancelDrainSlab(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto h = cancel_drain<SlabApi>(events);
+    const auto h = cancel_drain(events);
+    check_pin("cancel half", h, kBenchCancelDrainPin);
     benchmark::DoNotOptimize(h);
   }
 }
-BENCHMARK(BM_CancelDrainSlab)->Arg(50'000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CancelDrainSlab)
+    ->Arg(kBenchEvents)
+    ->Unit(benchmark::kMillisecond);
 
 /// Runs the dense periodic workload, checks its pinned firing stream (fatal
 /// on divergence, same as the repro pass) and exports the CI-gated

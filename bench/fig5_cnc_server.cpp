@@ -118,9 +118,8 @@ void run_server(benchutil::Report& report) {
     server.handle(poll);
   }
   std::map<std::string, int> by_type;
-  for (const auto& [id, row] :
-       server.db().table("clients").all()) {
-    ++by_type[row->at("type")];
+  for (const auto& [id, row] : server.db().table("clients").rows()) {
+    ++by_type[row.at("type")];
   }
   for (const auto& [type, count] : by_type) {
     report.printf("  CLIENT_TYPE_%-4s %d clients\n", type.c_str(), count);

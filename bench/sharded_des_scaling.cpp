@@ -25,11 +25,8 @@
 #include "bench_util.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,16 +36,10 @@
 #include "sim/sweep.hpp"
 
 using namespace cyd;
+using benchutil::fatal;
+using benchutil::time_ms;
 
 namespace {
-
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // ---------------------------------------------------------------------------
 // The workload: a deterministic mass-worm epidemic over the site topology.
@@ -235,11 +226,6 @@ ModeResult run_epidemic(const EpidemicConfig& cfg,
   ModeResult result = run_epidemic_in(world, fleets, cfg, mode, workers);
   result.build_ms = build_ms;
   return result;
-}
-
-[[noreturn]] void fatal(const char* what) {
-  std::printf("\nFATAL: %s\n", what);
-  std::exit(1);
 }
 
 void check_identity(const ModeResult& reference, const ModeResult& candidate) {

@@ -8,18 +8,16 @@
 // reworked kernel interns every feature once into a shared FeatureDict and
 // scores sorted u64 id vectors with a branch-light linear merge; the
 // pairwise stage of similarity_matrix additionally fans out across the
-// sweep pool. The seed kernel is kept below verbatim in design — the same
-// pattern event_queue_scaling uses for LegacyEventQueue — so the ratio is
-// measured against the real baseline rather than remembered.
+// sweep pool.
 //
-// Two claims:
-//  (1) identical results: interning is a bijection, so every intersection/
-//      union count — and therefore every double in the matrix — is
-//      bit-identical across seed kernel, interned-serial, and the parallel
-//      similarity_matrix. Asserted via order-sensitive checksums over the
-//      raw double bit patterns, fatal on divergence;
-//  (2) >=2x on the pairwise scoring stage (interned-serial vs seed kernel,
-//      same thread), before the sweep-pool fan-out multiplies it.
+// Identical results, fatally asserted: interning is a bijection, so every
+// intersection/union count — and therefore every double in the matrix —
+// equals the seed kernel's. Order-sensitive checksums over the raw double
+// bit patterns of the interned-serial and the parallel similarity_matrix
+// must both hit a pin recorded while the seed kernel still ran beside them
+// and produced it. The tier-1 property suite keeps a seed-kernel reference
+// of its own:
+// SimilarityPropertyTest.InternedKernelMatchesSeedKernelBitExactly.
 //
 // A second section measures the shared Aho–Corasick PatternSet against the
 // per-pattern std::string::find loop it replaced in yara/av scanning, with
@@ -32,115 +30,17 @@
 #include "pe/image.hpp"
 #include "sim/rng.hpp"
 
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
-#include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 using namespace cyd;
+using benchutil::check_pin;
+using benchutil::time_ms;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// The seed kernel, verbatim in design: std::set<std::string> feature sets,
-// per-element contains() jaccard, serial upper-triangle matrix.
-
-namespace legacy {
-
-struct SpecimenFeatures {
-  std::set<std::string> strings;
-  std::set<std::string> imports;
-  std::set<std::string> section_names;
-};
-
-void collect_features(const pe::Image& image, SpecimenFeatures& out,
-                      int max_depth) {
-  for (const auto& section : image.sections) {
-    out.section_names.insert(section.name);
-    for (auto& s : analysis::extract_strings(section.data)) {
-      out.strings.insert(std::move(s));
-    }
-  }
-  for (const auto& import : image.imports) {
-    for (const auto& fn : import.functions) {
-      out.imports.insert(import.dll + "!" + fn);
-    }
-  }
-  for (auto& s : analysis::extract_strings(image.version_info)) {
-    out.strings.insert(std::move(s));
-  }
-  if (max_depth <= 0) return;
-  for (const auto& resource : image.resources) {
-    common::Bytes payload = resource.data;
-    if (auto key = analysis::brute_xor_key(resource.data)) {
-      payload = common::xor_cipher(resource.data, *key);
-    }
-    if (pe::Image::looks_like_pe(payload)) {
-      try {
-        collect_features(pe::Image::parse(payload), out, max_depth - 1);
-        continue;
-      } catch (const pe::ParseError&) {
-      }
-    }
-    for (auto& s : analysis::extract_strings(payload)) {
-      out.strings.insert(std::move(s));
-    }
-  }
-}
-
-double jaccard(const std::set<std::string>& a,
-               const std::set<std::string>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  std::size_t intersection = 0;
-  for (const auto& item : a) {
-    if (b.contains(item)) ++intersection;
-  }
-  const std::size_t union_size = a.size() + b.size() - intersection;
-  return union_size == 0
-             ? 0.0
-             : static_cast<double>(intersection) /
-                   static_cast<double>(union_size);
-}
-
-SpecimenFeatures extract_features(std::string_view bytes, int max_depth = 4) {
-  SpecimenFeatures out;
-  try {
-    collect_features(pe::Image::parse(bytes), out, max_depth);
-  } catch (const pe::ParseError&) {
-    for (auto& s : analysis::extract_strings(bytes)) {
-      out.strings.insert(std::move(s));
-    }
-  }
-  return out;
-}
-
-double similarity(const SpecimenFeatures& a, const SpecimenFeatures& b) {
-  struct Class {
-    double weight;
-    const std::set<std::string>& lhs;
-    const std::set<std::string>& rhs;
-  };
-  const Class classes[] = {
-      {0.4, a.strings, b.strings},
-      {0.35, a.imports, b.imports},
-      {0.25, a.section_names, b.section_names},
-  };
-  double score = 0.0;
-  double active_weight = 0.0;
-  for (const auto& c : classes) {
-    if (c.lhs.empty() && c.rhs.empty()) continue;
-    score += c.weight * jaccard(c.lhs, c.rhs);
-    active_weight += c.weight;
-  }
-  if (active_weight == 0.0) return 1.0;
-  return score / active_weight;
-}
-
-}  // namespace legacy
 
 // ---------------------------------------------------------------------------
 // Synthetic specimen piles. Three "factories" share per-family vocab pools
@@ -232,32 +132,8 @@ std::uint64_t checksum(const std::vector<double>& matrix) {
   return h;
 }
 
-double time_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// The three pipelines under measurement. Each returns the full n x n matrix
-// the attribution report consumes.
-
-std::vector<double> legacy_pairwise(
-    const std::vector<legacy::SpecimenFeatures>& features) {
-  const std::size_t n = features.size();
-  std::vector<double> matrix(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    matrix[i * n + i] = 1.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double score = legacy::similarity(features[i], features[j]);
-      matrix[i * n + j] = score;
-      matrix[j * n + i] = score;
-    }
-  }
-  return matrix;
-}
-
+// The pairwise stage every pipeline runs: the full n x n matrix the
+// attribution report consumes.
 std::vector<double> interned_pairwise(
     const std::vector<analysis::SpecimenFeatures>& features) {
   const std::size_t n = features.size();
@@ -273,42 +149,29 @@ std::vector<double> interned_pairwise(
   return matrix;
 }
 
-void assert_identical(const char* what, std::uint64_t expected,
-                      std::uint64_t got) {
-  if (expected != got) {
-    std::printf("FATAL: %s diverged from the seed kernel "
-                "(%016llx vs %016llx)\n",
-                what, static_cast<unsigned long long>(expected),
-                static_cast<unsigned long long>(got));
-    std::exit(1);
-  }
-}
+// Golden matrix checksums per pile size, recorded while the seed kernel
+// still scored the same piles and produced the same matrix.
+struct MatrixPin {
+  std::size_t n;
+  std::uint64_t checksum;
+};
+constexpr MatrixPin kMatrixPins[] = {
+    {16, 0xe981dfe75795220bull},
+    {32, 0x8b2fd93a7c3c8ca5ull},
+    {64, 0xd34a60b8c8e27e2bull},
+};
 
 // ---------------------------------------------------------------------------
-// Reproduction pass: identity proof + scaling table.
+// Reproduction pass: pinned matrices + scaling table.
 
 void reproduce_similarity() {
-  benchutil::section(
-      "pairwise similarity: interned merge kernel vs seed set kernel");
-  std::printf("%-6s %-11s %-11s %-11s %-9s %-11s %s\n", "pile", "seed-pair",
-              "merge-pair", "kernel-x", "sweep-ms", "extract-ms",
-              "checksums");
+  benchutil::section("pairwise similarity: interned merge kernel");
+  std::printf("%-6s %-11s %-9s %-11s %s\n", "pile", "merge-pair", "sweep-ms",
+              "extract-ms", "checksums");
 
-  double headline_kernel = 0.0;
-  double headline_sweep = 0.0;
-  for (const std::size_t n : {16u, 32u, 64u}) {
+  for (const MatrixPin& pin : kMatrixPins) {
+    const std::size_t n = pin.n;
     const auto pile = make_pile(n, 0xd15c0 + n);
-
-    std::vector<legacy::SpecimenFeatures> seed_features;
-    seed_features.reserve(n);
-    const double seed_extract_ms = time_ms([&] {
-      for (const auto& s : pile) {
-        seed_features.push_back(legacy::extract_features(s.bytes));
-      }
-    });
-    std::vector<double> seed_matrix;
-    const double seed_pair_ms =
-        time_ms([&] { seed_matrix = legacy_pairwise(seed_features); });
 
     analysis::FeatureDict dict;
     std::vector<analysis::SpecimenFeatures> interned_features;
@@ -326,31 +189,17 @@ void reproduce_similarity() {
     const double sweep_ms =
         time_ms([&] { sweep_matrix = analysis::similarity_matrix(pile); });
 
-    const auto expected = checksum(seed_matrix);
-    assert_identical("interned-serial matrix", expected,
-                     checksum(interned_matrix));
-    assert_identical("parallel similarity_matrix", expected,
-                     checksum(sweep_matrix));
+    check_pin("interned-serial matrix", checksum(interned_matrix),
+              pin.checksum);
+    check_pin("parallel similarity_matrix", checksum(sweep_matrix),
+              pin.checksum);
 
-    headline_kernel = seed_pair_ms / interned_pair_ms;
-    headline_sweep = (seed_extract_ms + seed_pair_ms) / sweep_ms;
-    char kernel_col[16];
-    std::snprintf(kernel_col, sizeof kernel_col, "%.1fx", headline_kernel);
-    char extract_col[24];
-    std::snprintf(extract_col, sizeof extract_col, "%.1f -> %.1f",
-                  seed_extract_ms, interned_extract_ms);
-    std::printf("%-6zu %-11.2f %-11.2f %-9s %-9.2f %-11s %s\n",
-                static_cast<std::size_t>(n), seed_pair_ms, interned_pair_ms,
-                kernel_col, sweep_ms, extract_col, "agree");
+    std::printf("%-6zu %-11.2f %-9.2f %-11.2f %s\n", n, interned_pair_ms,
+                sweep_ms, interned_extract_ms, "pinned");
   }
 
-  std::printf("\npairwise-kernel speedup at n=64: %.1fx (target: >=2x)\n",
-              headline_kernel);
-  std::printf("end-to-end similarity_matrix vs seed pipeline: %.1fx "
-              "(extraction serial, pairwise swept)\n",
-              headline_sweep);
-  std::printf("checksums agreed on every pile: interning is a bijection, so "
-              "the matrix is bit-identical.\n");
+  std::printf("\nchecksums matched their pins on every pile: interning is a "
+              "bijection, so the matrix is the seed kernel's bit for bit.\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -416,7 +265,12 @@ void reproduce_patterns() {
   std::uint64_t ac_sum = 0;
   const double naive_ms = time_ms([&] { naive_sum = naive_scan(pile, patterns); });
   const double ac_ms = time_ms([&] { ac_sum = automaton_scan(pile, set); });
-  assert_identical("automaton hit mask", naive_sum, ac_sum);
+  if (naive_sum != ac_sum) {
+    benchutil::fatal("automaton hit mask diverged from the find loop "
+                     "(%016llx vs %016llx)",
+                     static_cast<unsigned long long>(naive_sum),
+                     static_cast<unsigned long long>(ac_sum));
+  }
 
   std::printf("48 patterns x 48 specimens: find-loop %.2f ms, automaton "
               "%.2f ms (%.1fx), hit masks identical\n",
@@ -429,23 +283,13 @@ void reproduce_patterns() {
 // google-benchmark cases for regression tracking (BENCH_*.json baselines)
 
 constexpr std::size_t kBenchPile = 32;
+static_assert(kMatrixPins[1].n == kBenchPile);
+constexpr std::uint64_t kBenchPilePin = kMatrixPins[1].checksum;
 
 const std::vector<analysis::LabelledSpecimen>& bench_pile() {
   static const auto pile = make_pile(kBenchPile, 0xd15c0 + kBenchPile);
   return pile;
 }
-
-void BM_PairwiseSeedKernel(benchmark::State& state) {
-  std::vector<legacy::SpecimenFeatures> features;
-  for (const auto& s : bench_pile()) {
-    features.push_back(legacy::extract_features(s.bytes));
-  }
-  for (auto _ : state) {
-    auto matrix = legacy_pairwise(features);
-    benchmark::DoNotOptimize(matrix);
-  }
-}
-BENCHMARK(BM_PairwiseSeedKernel)->Unit(benchmark::kMillisecond);
 
 void BM_PairwiseInterned(benchmark::State& state) {
   analysis::FeatureDict dict;
@@ -455,6 +299,7 @@ void BM_PairwiseInterned(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto matrix = interned_pairwise(features);
+    check_pin("interned-serial matrix", checksum(matrix), kBenchPilePin);
     benchmark::DoNotOptimize(matrix);
   }
 }
@@ -463,6 +308,7 @@ BENCHMARK(BM_PairwiseInterned)->Unit(benchmark::kMillisecond);
 void BM_SimilarityMatrixSwept(benchmark::State& state) {
   for (auto _ : state) {
     auto matrix = analysis::similarity_matrix(bench_pile());
+    check_pin("parallel similarity_matrix", checksum(matrix), kBenchPilePin);
     benchmark::DoNotOptimize(matrix);
   }
 }

@@ -6,16 +6,9 @@ namespace cyd::analysis {
 namespace {
 
 constexpr double kPackerEntropyLine = 7.2;
+constexpr std::size_t kMinStringLength = 6;
 
 }  // namespace
-
-std::vector<std::string> extract_strings(std::string_view data,
-                                         std::size_t min_length) {
-  std::vector<std::string> out;
-  for_each_string(data, min_length,
-                  [&](std::string_view s) { out.emplace_back(s); });
-  return out;
-}
 
 std::optional<std::uint8_t> brute_xor_key(std::string_view data,
                                           std::string_view marker) {
@@ -84,9 +77,9 @@ StaticReport dissect(std::string_view bytes, const pki::CertStore& store,
       report.looks_packed = true;
     }
     report.sections.push_back(info);
-    for (auto& s : extract_strings(section.data)) {
-      report.strings.push_back(std::move(s));
-    }
+    for_each_string(section.data, kMinStringLength, [&](std::string_view s) {
+      report.strings.emplace_back(s);
+    });
   }
 
   for (const auto& resource : image.resources) {
@@ -108,9 +101,9 @@ StaticReport dissect(std::string_view bytes, const pki::CertStore& store,
       info.embedded = std::make_unique<StaticReport>(
           dissect(payload, store, trust, now, max_depth - 1));
     } else {
-      for (auto& s : extract_strings(payload)) {
-        report.strings.push_back(std::move(s));
-      }
+      for_each_string(payload, kMinStringLength, [&](std::string_view s) {
+        report.strings.emplace_back(s);
+      });
     }
     report.resources.push_back(std::move(info));
   }

@@ -66,9 +66,8 @@ struct StaticReport {
 
 /// Visits every printable ASCII run of at least `min_length` in `data`
 /// without allocating: `cb` receives a std::string_view aliasing `data`
-/// (valid only for the duration of the call). This is the hot-path form —
-/// feature extraction interns the views directly. Keep `extract_strings`
-/// for callers that need owned copies.
+/// (valid only for the duration of the call). Feature extraction interns
+/// the views directly; dissect copies them into StaticReport::strings.
 template <class Cb>
 void for_each_string(std::string_view data, std::size_t min_length, Cb&& cb) {
   std::size_t run_start = 0;
@@ -85,12 +84,6 @@ void for_each_string(std::string_view data, std::size_t min_length, Cb&& cb) {
   }
   if (run_len >= min_length) cb(data.substr(run_start, run_len));
 }
-
-/// Printable ASCII runs of at least `min_length`, copied out. Compatibility
-/// shim over for_each_string for callers that keep the strings around
-/// (dissect reports, tests); new scanning code should visit in place.
-std::vector<std::string> extract_strings(std::string_view data,
-                                         std::size_t min_length = 6);
 
 /// Brute-forces a single-byte XOR key by looking for a known plaintext
 /// marker (default: the SPE magic) in the decryption of `data`.

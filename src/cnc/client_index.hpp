@@ -3,7 +3,7 @@
 //
 // The seed server kept everything a GET_NEWS needs (contacts, last_news_seq,
 // last_seen) in Database rows of std::map<string,string>, found by an
-// O(clients) select_where scan and round-tripped through stoull/to_string on
+// O(clients) scan over every row and round-tripped through stoull/to_string on
 // every beacon. ClientIndex pulls that session state into a flat vector of
 // ClientState keyed by an open-addressing hash over interned client ids
 // (StringPool pattern): one probe per lookup, integer fields, no allocation

@@ -10,21 +10,6 @@ std::uint64_t Table::insert(Row row) {
 
 bool Table::erase(std::uint64_t id) { return rows_.erase(id) > 0; }
 
-std::size_t Table::erase_where(const std::string& column,
-                               const std::string& value) {
-  std::size_t removed = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    auto col = it->second.find(column);
-    if (col != it->second.end() && col->second == value) {
-      it = rows_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
 const Row* Table::find(std::uint64_t id) const {
   auto it = rows_.find(id);
   return it == rows_.end() ? nullptr : &it->second;
@@ -33,38 +18,6 @@ const Row* Table::find(std::uint64_t id) const {
 Row* Table::find(std::uint64_t id) {
   auto it = rows_.find(id);
   return it == rows_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<std::uint64_t, const Row*>> Table::select_where(
-    const std::string& column, const std::string& value) const {
-  std::vector<std::pair<std::uint64_t, const Row*>> out;
-  for (const auto& [id, row] : rows_) {
-    auto col = row.find(column);
-    if (col != row.end() && col->second == value) out.emplace_back(id, &row);
-  }
-  return out;
-}
-
-const Row* Table::find_first_where(const std::string& column,
-                                   const std::string& value) const {
-  for (const auto& [id, row] : rows_) {
-    auto col = row.find(column);
-    if (col != row.end() && col->second == value) return &row;
-  }
-  return nullptr;
-}
-
-Row* Table::find_first_where(const std::string& column,
-                             const std::string& value) {
-  const Table* self = this;
-  return const_cast<Row*>(self->find_first_where(column, value));
-}
-
-std::vector<std::pair<std::uint64_t, const Row*>> Table::all() const {
-  std::vector<std::pair<std::uint64_t, const Row*>> out;
-  out.reserve(rows_.size());
-  for (const auto& [id, row] : rows_) out.emplace_back(id, &row);
-  return out;
 }
 
 const Table* Database::find_table(const std::string& name) const {

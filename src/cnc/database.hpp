@@ -19,21 +19,9 @@ class Table {
  public:
   std::uint64_t insert(Row row);  // returns row id
   bool erase(std::uint64_t id);
-  std::size_t erase_where(const std::string& column,
-                          const std::string& value);
   const Row* find(std::uint64_t id) const;
   Row* find(std::uint64_t id);
-  std::vector<std::pair<std::uint64_t, const Row*>> select_where(
-      const std::string& column, const std::string& value) const;
-  /// First row (in id order) whose `column` equals `value`, or nullptr.
-  /// Unlike select_where this stops at the first hit and never allocates —
-  /// use it for the common "look up by unique key" pattern.
-  const Row* find_first_where(const std::string& column,
-                              const std::string& value) const;
-  Row* find_first_where(const std::string& column, const std::string& value);
-  std::vector<std::pair<std::uint64_t, const Row*>> all() const;
-  /// Direct read-only view of the rows in id order; the allocation-free
-  /// alternative to all() for iteration.
+  /// Read-only view of the rows in id order; queries iterate it.
   const std::map<std::uint64_t, Row>& rows() const { return rows_; }
   std::size_t size() const { return rows_.size(); }
   void clear() { rows_.clear(); }

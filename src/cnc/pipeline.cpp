@@ -12,11 +12,16 @@ std::uint64_t checksum_mix_bytes(std::uint64_t h, std::string_view bytes) {
   return checksum_mix(checksum_mix(h, bytes.size()), common::fnv1a64(bytes));
 }
 
-std::uint64_t RequestEngine::fold_response(std::uint64_t h,
-                                           const net::HttpResponse& response) {
+namespace {
+
+/// One folding step of the response chain.
+std::uint64_t fold_response(std::uint64_t h,
+                            const net::HttpResponse& response) {
   h = checksum_mix(h, static_cast<std::uint64_t>(response.status));
   return checksum_mix_bytes(h, response.body);
 }
+
+}  // namespace
 
 void RequestEngine::log_access(sim::TimePoint now, std::string_view verb,
                                std::string_view client, std::string_view key,

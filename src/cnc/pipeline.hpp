@@ -19,8 +19,8 @@
 // session/entry state in first-contact order. merge_storm() folds per-shard
 // chains in shard index order, so a sharded storm whose per-shard request
 // streams match a serial run's produces bit-identical merged checksums at
-// any worker count — bench/cnc_throughput and the sweep_tests storm suite
-// assert this against the retained seed handle path.
+// any worker count — bench/cnc_throughput asserts this against pinned
+// checksums, the sweep_tests storm suite against the single-queue run.
 
 #include <cstdint>
 #include <span>
@@ -35,8 +35,9 @@
 
 namespace cyd::cnc {
 
-/// FNV-1a folding shared by the engine and the bench's retained seed path —
-/// both sides must digest with the same steps for identity to be meaningful.
+/// FNV-1a folding behind the response chain, the state checksum and the
+/// storm merge. The golden checksums pinned in bench/cnc_throughput hold
+/// only while these steps stay exactly as they are.
 inline constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
 inline std::uint64_t checksum_mix(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * 1099511628211ull;
@@ -125,10 +126,6 @@ class RequestEngine {
   /// Digest of session + entry state: counters, then client states in
   /// first-contact order, then entries in arrival order.
   std::uint64_t state_checksum() const;
-  /// One folding step of the response chain; the bench's retained seed path
-  /// uses this exact function so the chains are comparable.
-  static std::uint64_t fold_response(std::uint64_t h,
-                                     const net::HttpResponse& response);
 
   // --- write-behind (cold forensic store) ---
   /// Drains the states touched since the last call, in first-touch order,

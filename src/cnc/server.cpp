@@ -1,5 +1,10 @@
 #include "cnc/server.hpp"
 
+#include <cstdint>
+#include <exception>
+#include <limits>
+#include <string>
+
 namespace cyd::cnc {
 
 CncServer::CncServer(sim::Simulation& simulation, std::string server_id,
@@ -120,19 +125,29 @@ std::size_t CncServer::purge_retrieved(sim::Duration max_age) {
 sim::Duration CncServer::purge_retention() const {
   // The panel's own knob: settings.purge_minutes, seeded to 30 at install
   // time. Read on every purge tick so operators can retune a live server;
-  // rows() iteration keeps the tick allocation-free.
+  // rows() iteration keeps the tick allocation-free. A negative retention
+  // would put the cutoff in the future and purge entries picked up a moment
+  // ago, and one past INT64_MAX / kMinute overflows sim::minutes, so both
+  // fall back to the install default like an unparseable value does.
+  constexpr sim::Duration kDefault = 30 * sim::kMinute;
   if (const Table* settings = db_.find_table("settings")) {
     for (const auto& [id, row] : settings->rows()) {
       auto it = row.find("purge_minutes");
       if (it == row.end()) continue;
+      long long minutes = 0;
       try {
-        return sim::minutes(std::stoll(it->second));
+        minutes = std::stoll(it->second);
       } catch (const std::exception&) {
-        break;  // unparseable: fall back to the install default
+        return kDefault;
       }
+      if (minutes < 0 ||
+          minutes > std::numeric_limits<std::int64_t>::max() / sim::kMinute) {
+        return kDefault;
+      }
+      return sim::minutes(minutes);
     }
   }
-  return 30 * sim::kMinute;
+  return kDefault;
 }
 
 void CncServer::start_purge_task(sim::Duration period) {

@@ -1,6 +1,7 @@
 #include "cnc/server.hpp"
 
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "cnc/attack_center.hpp"
 #include "cnc/database.hpp"
@@ -263,7 +264,7 @@ TEST_F(CncServerTest, StopPurgeTaskSafeWhenNeverStarted) {
 TEST_F(CncServerTest, PurgeMinutesSettingRoundTrips) {
   EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute);
   auto& settings = server_.db().table("settings");
-  Row* row = settings.find(settings.all().front().first);
+  Row* row = settings.find(settings.rows().begin()->first);
   ASSERT_NE(row, nullptr);
   (*row)["purge_minutes"] = "5";
   EXPECT_EQ(server_.purge_retention(), 5 * sim::kMinute);
@@ -279,21 +280,36 @@ TEST_F(CncServerTest, PurgeMinutesSettingRoundTrips) {
 
 TEST_F(CncServerTest, UnparseablePurgeMinutesFallsBackToDefault) {
   auto& settings = server_.db().table("settings");
-  Row* row = settings.find(settings.all().front().first);
+  Row* row = settings.find(settings.rows().begin()->first);
   ASSERT_NE(row, nullptr);
   (*row)["purge_minutes"] = "soon(tm)";
   EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute);
+  // Values that parse but lie outside [0, INT64_MAX / kMinute] fall back
+  // too: a negative retention would purge entries the moment they are
+  // picked up, and a larger one overflows sim::minutes.
+  (*row)["purge_minutes"] = "-5";
+  EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute);
+  (*row)["purge_minutes"] = "200000000000000";
+  EXPECT_EQ(server_.purge_retention(), 30 * sim::kMinute);
+  // Both ends of the valid range are honoured.
+  (*row)["purge_minutes"] = "0";
+  EXPECT_EQ(server_.purge_retention(), 0);
+  const std::int64_t max_minutes =
+      std::numeric_limits<std::int64_t>::max() / sim::kMinute;
+  (*row)["purge_minutes"] = std::to_string(max_minutes);
+  EXPECT_EQ(server_.purge_retention(), max_minutes * sim::kMinute);
 }
 
 TEST_F(CncServerTest, DatabaseTracksClientContacts) {
   server_.handle(get_news("victim-1"));
   server_.handle(get_news("victim-1"));
   server_.handle(add_entry("victim-1", "x", "y"));
-  const auto rows =
-      server_.db().table("clients").select_where("client_id", "victim-1");
+  const auto& rows = server_.db().table("clients").rows();
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].second->at("contacts"), "3");
-  EXPECT_EQ(rows[0].second->at("type"), "FL");
+  const Row& row = rows.begin()->second;
+  EXPECT_EQ(row.at("client_id"), "victim-1");
+  EXPECT_EQ(row.at("contacts"), "3");
+  EXPECT_EQ(row.at("type"), "FL");
 }
 
 TEST_F(CncServerTest, LogWiperDestroysAccessLog) {
@@ -344,8 +360,8 @@ TEST_F(CncServerTest, PlatformServesAllFourClientTypes) {
     EXPECT_TRUE(server_.handle(r).ok());
   }
   std::set<std::string> types;
-  for (const auto& [id, row] : server_.db().table("clients").all()) {
-    types.insert(row->at("type"));
+  for (const auto& [id, row] : server_.db().table("clients").rows()) {
+    types.insert(row.at("type"));
   }
   EXPECT_EQ(types, (std::set<std::string>{"FL", "IP", "SP", "SPE"}));
 }
@@ -462,43 +478,30 @@ TEST_F(CncServerTest, WriteBehindRowsKeepFirstContactOrder) {
   EXPECT_EQ(server_.known_clients(),
             (std::vector<std::string>{"a", "late-target", "b"}));
   // The flushed row reflects the delivered ad's bookkeeping.
-  const Row* row = server_.db().table("clients").find_first_where(
-      "client_id", "late-target");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->at("contacts"), "1");
+  const auto& rows = server_.db().table("clients").rows();
+  ASSERT_EQ(rows.size(), 3u);
+  const Row& row = std::next(rows.begin())->second;
+  ASSERT_EQ(row.at("client_id"), "late-target");
+  EXPECT_EQ(row.at("contacts"), "1");
   EXPECT_EQ(server_.pending_ads(), 0u);
-}
-
-TEST(DatabaseTest, FindFirstWhereStopsAtFirstMatch) {
-  Database db;
-  auto& t = db.table("clients");
-  t.insert({{"client_id", "a"}, {"type", "FL"}});
-  t.insert({{"client_id", "b"}, {"type", "SP"}});
-  t.insert({{"client_id", "c"}, {"type", "SP"}});
-  const Row* hit = t.find_first_where("type", "SP");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->at("client_id"), "b");  // lowest row id wins
-  EXPECT_EQ(t.find_first_where("type", "IP"), nullptr);
-  EXPECT_EQ(t.find_first_where("nope", "x"), nullptr);
-  // The non-const overload allows in-place updates.
-  Row* mut = t.find_first_where("client_id", "c");
-  ASSERT_NE(mut, nullptr);
-  (*mut)["type"] = "SPE";
-  EXPECT_EQ(t.select_where("type", "SP").size(), 1u);
 }
 
 TEST(DatabaseTest, InsertSelectErase) {
   Database db;
   auto& t = db.table("clients");
   const auto id1 = t.insert({{"client_id", "a"}, {"type", "FL"}});
-  t.insert({{"client_id", "b"}, {"type", "SP"}});
+  const auto id2 = t.insert({{"client_id", "b"}, {"type", "SP"}});
   EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.select_where("type", "FL").size(), 1u);
+  std::vector<std::string> fl;
+  for (const auto& [id, row] : t.rows()) {
+    if (row.at("type") == "FL") fl.push_back(row.at("client_id"));
+  }
+  EXPECT_EQ(fl, (std::vector<std::string>{"a"}));
   ASSERT_NE(t.find(id1), nullptr);
   EXPECT_EQ(t.find(id1)->at("client_id"), "a");
   EXPECT_TRUE(t.erase(id1));
   EXPECT_FALSE(t.erase(id1));
-  EXPECT_EQ(t.erase_where("type", "SP"), 1u);
+  EXPECT_TRUE(t.erase(id2));
   EXPECT_EQ(t.size(), 0u);
 }
 
