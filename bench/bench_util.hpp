@@ -146,8 +146,7 @@ struct SigningIdentity {
   }
 };
 
-/// The trend-b world shape shared by the scaling benches (and the first
-/// concrete step toward the ROADMAP scenario compiler): `sites` office
+/// The trend-b world shape shared by the scaling benches: `sites` office
 /// fleets named org0000, org0001, … — zero-padded so site-name order (the
 /// shard order World::shard_plan derives) equals build order — with the
 /// first min(8, sites) sites doubling as fully-meshed regional WAN hubs at

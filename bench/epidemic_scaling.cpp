@@ -33,46 +33,25 @@
 // Pass --mega for the 10⁶-host world (1,250 sites), --print-checksums to
 // re-emit the identity table after an intentional output change.
 
+#include "alloc_hook.hpp"
 #include "bench_util.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
 #include "repro_checksums.hpp"
 #include "winsys/host_image.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
 using namespace cyd;
 using benchutil::fatal;
 using benchutil::time_ms;
-
-// ---------------------------------------------------------------------------
-// Counting allocator hook: cumulative requested bytes, for the per-host
-// heap measurements. Same precedent as tests/sim/event_queue_alloc_test.cpp;
-// this binary owns its global operator new, so it stays out of the library.
-
-namespace {
-std::atomic<std::uint64_t> g_heap_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -568,19 +547,19 @@ CowMemory measure_cow_memory(std::size_t cow_hosts, std::size_t mat_hosts) {
   CowMemory m;
   {
     core::World world(0x3e3);
-    const std::uint64_t before_image = g_heap_bytes.load();
+    const std::uint64_t before_image = alloc_hook::bytes();
     world.archetype_image(winsys::HostArchetype::kOfficePc);
-    m.image_once = static_cast<double>(g_heap_bytes.load() - before_image);
-    const std::uint64_t before = g_heap_bytes.load();
+    m.image_once = static_cast<double>(alloc_hook::bytes() - before_image);
+    const std::uint64_t before = alloc_hook::bytes();
     world.add_fleet(winsys::HostArchetype::kOfficePc, cow_hosts, "cow-site");
-    m.cow_per_host = static_cast<double>(g_heap_bytes.load() - before) /
+    m.cow_per_host = static_cast<double>(alloc_hook::bytes() - before) /
                      static_cast<double>(cow_hosts);
   }
   {
     // The pre-refactor substrate: every host owns the full archetype tree
     // and a deep copy of the Microsoft certificate landscape.
     core::World world(0x3e4);
-    const std::uint64_t before = g_heap_bytes.load();
+    const std::uint64_t before = alloc_hook::bytes();
     for (std::size_t i = 0; i < mat_hosts; ++i) {
       char name[24];
       std::snprintf(name, sizeof(name), "mat-pc%05zu", i);
@@ -592,7 +571,7 @@ CowMemory measure_cow_memory(std::size_t cow_hosts, std::size_t mat_hosts) {
       world.microsoft().install_into(host.cert_store());
       world.microsoft().anchor_root(host.trust_store());
     }
-    m.mat_per_host = static_cast<double>(g_heap_bytes.load() - before) /
+    m.mat_per_host = static_cast<double>(alloc_hook::bytes() - before) /
                      static_cast<double>(mat_hosts);
   }
   return m;

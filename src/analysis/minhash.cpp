@@ -157,18 +157,4 @@ std::vector<std::vector<std::size_t>> cluster_features_lsh(
   return components.groups();
 }
 
-std::vector<std::vector<std::string>> cluster_specimens_lsh(
-    const std::vector<LabelledSpecimen>& specimens, double threshold,
-    const MinHashParams& params, LshStats* stats) {
-  FeatureDict dict;
-  const auto features = extract_pile(specimens, dict);
-  std::vector<std::vector<std::string>> out;
-  for (const auto& group : cluster_features_lsh(features, threshold, params, stats)) {
-    auto& labels = out.emplace_back();
-    labels.reserve(group.size());
-    for (const std::size_t idx : group) labels.push_back(specimens[idx].label);
-  }
-  return out;
-}
-
 }  // namespace cyd::analysis

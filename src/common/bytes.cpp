@@ -54,8 +54,7 @@ Bytes xor_cipher(std::string_view data, std::string_view key) {
   return out;
 }
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t h) {
   for (unsigned char c : data) {
     h ^= c;
     h *= 0x100000001b3ULL;
@@ -115,18 +114,6 @@ std::string to_lower(std::string_view s) {
   std::string out(s);
   for (auto& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
-}
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
 }
 
 std::uint32_t get_u32(std::string_view data, std::size_t offset) {

@@ -8,15 +8,7 @@ namespace {
 using common::Bytes;
 using common::get_u32;
 using common::get_u64;
-using common::put_u32;
-using common::put_u64;
-
-constexpr std::string_view kMagic = "SPE1";
-
-void put_string(Bytes& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
+using common::put_string;
 
 std::string get_string(std::string_view data, std::size_t& offset) {
   const std::uint32_t len = get_u32(data, offset);
@@ -41,36 +33,7 @@ common::Bytes Resource::plaintext() const {
 
 common::Bytes Image::signed_region() const {
   Bytes out;
-  out.append(kMagic);
-  out.push_back(static_cast<char>(machine));
-  put_u64(out, static_cast<std::uint64_t>(build_timestamp));
-  put_string(out, program_id);
-  put_string(out, original_filename);
-  put_string(out, version_info);
-
-  put_u32(out, static_cast<std::uint32_t>(sections.size()));
-  for (const auto& s : sections) {
-    put_string(out, s.name);
-    put_string(out, s.data);
-    out.push_back(static_cast<char>((s.executable ? 1 : 0) |
-                                    (s.writable ? 2 : 0)));
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(resources.size()));
-  for (const auto& r : resources) {
-    put_u32(out, r.id);
-    put_string(out, r.name);
-    put_string(out, r.data);
-    out.push_back(static_cast<char>(r.xor_encrypted ? 1 : 0));
-    out.push_back(static_cast<char>(r.xor_key));
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(imports.size()));
-  for (const auto& imp : imports) {
-    put_string(out, imp.dll);
-    put_u32(out, static_cast<std::uint32_t>(imp.functions.size()));
-    for (const auto& f : imp.functions) put_string(out, f);
-  }
+  write_signed_region(out);
   return out;
 }
 

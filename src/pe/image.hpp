@@ -83,6 +83,10 @@ class Image {
   /// Byte encoding of everything *except* the signature blob — the region a
   /// code-signing digest covers.
   common::Bytes signed_region() const;
+  /// Writes the signed region into any byte sink (common::put_u32); a
+  /// digest sink hashes it without materializing the bytes.
+  template <typename Sink>
+  void write_signed_region(Sink& out) const;
 
   /// Parses bytes produced by serialize(). Throws ParseError on malformed or
   /// truncated input (the dissection tools rely on this to reject carved
@@ -103,6 +107,44 @@ class Image {
  private:
   static Image parse_impl(std::string_view bytes);
 };
+
+inline constexpr std::string_view kMagic = "SPE1";
+
+template <typename Sink>
+void Image::write_signed_region(Sink& out) const {
+  using common::put_string;
+  using common::put_u32;
+  out.append(kMagic);
+  out.push_back(static_cast<char>(machine));
+  common::put_u64(out, static_cast<std::uint64_t>(build_timestamp));
+  put_string(out, program_id);
+  put_string(out, original_filename);
+  put_string(out, version_info);
+
+  put_u32(out, static_cast<std::uint32_t>(sections.size()));
+  for (const auto& s : sections) {
+    put_string(out, s.name);
+    put_string(out, s.data);
+    out.push_back(static_cast<char>((s.executable ? 1 : 0) |
+                                    (s.writable ? 2 : 0)));
+  }
+
+  put_u32(out, static_cast<std::uint32_t>(resources.size()));
+  for (const auto& r : resources) {
+    put_u32(out, r.id);
+    put_string(out, r.name);
+    put_string(out, r.data);
+    out.push_back(static_cast<char>(r.xor_encrypted ? 1 : 0));
+    out.push_back(static_cast<char>(r.xor_key));
+  }
+
+  put_u32(out, static_cast<std::uint32_t>(imports.size()));
+  for (const auto& imp : imports) {
+    put_string(out, imp.dll);
+    put_u32(out, static_cast<std::uint32_t>(imp.functions.size()));
+    for (const auto& f : imp.functions) put_string(out, f);
+  }
+}
 
 /// Fluent builder so specimen factories read like a linker script.
 class Builder {

@@ -1,7 +1,6 @@
 #include "pki/certificate.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 namespace cyd::pki {
@@ -11,14 +10,9 @@ const char* to_string(HashAlgorithm a) {
 }
 
 std::uint64_t digest(HashAlgorithm alg, std::string_view data) {
-  if (alg == HashAlgorithm::kStrong64) return common::fnv1a64(data);
-  // Weak algorithm: additive byte sum mod 2^16. Deliberately linear and
-  // narrow so that chosen-suffix collisions are computable with a short
-  // trailer (forgery.hpp) — the simulation's stand-in for the MD5
-  // chosen-prefix attack used against the Terminal Services licensing chain.
-  std::uint64_t sum = 0;
-  for (unsigned char c : data) sum += c;
-  return sum & 0xffffULL;
+  Digester d(alg);
+  d.append(data);
+  return d.finish();
 }
 
 std::string usage_to_string(std::uint32_t usage) {
@@ -42,42 +36,23 @@ KeyPair KeyPair::generate(std::uint64_t seed_material) {
 }
 
 common::Bytes Certificate::tbs_bytes() const {
-  common::Bytes out("TBS1");
-  common::put_u64(out, serial);
-  out.append(subject);
-  out.push_back('\0');
-  out.append(issuer_subject);
-  out.push_back('\0');
-  common::put_u64(out, issuer_serial);
-  common::put_u64(out, public_key_id);
-  common::put_u32(out, usage);
-  out.push_back(static_cast<char>(hash_alg));
-  common::put_u64(out, static_cast<std::uint64_t>(not_before));
-  common::put_u64(out, static_cast<std::uint64_t>(not_after));
-  // Attacker-controllable trailer, appended raw: its bytes shift the weak
-  // additive digest without affecting any authenticated field above. It is
-  // never parsed, only digested, mirroring the unauthenticated fields abused
-  // in the real chosen-prefix collision.
-  out.append(collision_padding);
+  common::Bytes out;
+  CertificateView(*this).write_tbs(out);
   return out;
 }
 
 common::Bytes Certificate::serialize() const {
   common::Bytes out("CRT1");
-  auto put_str = [&](std::string_view s) {
-    common::put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-  };
   common::put_u64(out, serial);
-  put_str(subject);
-  put_str(issuer_subject);
+  common::put_string(out, subject);
+  common::put_string(out, issuer_subject);
   common::put_u64(out, issuer_serial);
   common::put_u64(out, public_key_id);
   common::put_u32(out, usage);
   out.push_back(static_cast<char>(hash_alg));
   common::put_u64(out, static_cast<std::uint64_t>(not_before));
   common::put_u64(out, static_cast<std::uint64_t>(not_after));
-  put_str(collision_padding);
+  common::put_string(out, collision_padding);
   common::put_u64(out, issuer_sig.tbs_digest);
   out.push_back(static_cast<char>(issuer_sig.alg));
   common::put_u64(out, issuer_sig.issuer_key_id);
@@ -85,44 +60,49 @@ common::Bytes Certificate::serialize() const {
 }
 
 std::optional<Certificate> Certificate::parse(std::string_view bytes) {
-  if (bytes.size() < 4 || bytes.substr(0, 4) != "CRT1") return std::nullopt;
-  std::size_t off = 4;
-  try {
-    Certificate c;
-    auto get_str = [&]() -> std::string {
-      const std::uint32_t len = common::get_u32(bytes, off);
-      off += 4;
-      if (off + len > bytes.size()) throw std::out_of_range("cert string");
-      std::string s(bytes.substr(off, len));
-      off += len;
-      return s;
-    };
-    auto get_byte = [&]() -> unsigned char {
-      if (off >= bytes.size()) throw std::out_of_range("cert byte");
-      return static_cast<unsigned char>(bytes[off++]);
-    };
-    c.serial = common::get_u64(bytes, off); off += 8;
-    c.subject = get_str();
-    c.issuer_subject = get_str();
-    c.issuer_serial = common::get_u64(bytes, off); off += 8;
-    c.public_key_id = common::get_u64(bytes, off); off += 8;
-    c.usage = common::get_u32(bytes, off); off += 4;
-    const auto alg1 = get_byte();
-    if (alg1 > 1) return std::nullopt;
-    c.hash_alg = static_cast<HashAlgorithm>(alg1);
-    c.not_before = static_cast<sim::TimePoint>(common::get_u64(bytes, off)); off += 8;
-    c.not_after = static_cast<sim::TimePoint>(common::get_u64(bytes, off)); off += 8;
-    c.collision_padding = get_str();
-    c.issuer_sig.tbs_digest = common::get_u64(bytes, off); off += 8;
-    const auto alg2 = get_byte();
-    if (alg2 > 1) return std::nullopt;
-    c.issuer_sig.alg = static_cast<HashAlgorithm>(alg2);
-    c.issuer_sig.issuer_key_id = common::get_u64(bytes, off); off += 8;
-    if (off != bytes.size()) return std::nullopt;
-    return c;
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
+  const auto view = CertificateView::parse(bytes);
+  if (!view) return std::nullopt;
+  return view->to_certificate();
+}
+
+std::optional<CertificateView> CertificateView::parse(std::string_view bytes) {
+  common::Reader in(bytes);
+  std::string_view magic;
+  if (!in.bytes(4, magic) || magic != "CRT1") return std::nullopt;
+  CertificateView c;
+  std::uint64_t not_before = 0;
+  std::uint64_t not_after = 0;
+  unsigned char alg1 = 0;
+  unsigned char alg2 = 0;
+  const bool read =
+      in.u64(c.serial) && in.string(c.subject) &&
+      in.string(c.issuer_subject) && in.u64(c.issuer_serial) &&
+      in.u64(c.public_key_id) && in.u32(c.usage) && in.u8(alg1) &&
+      alg1 <= 1 && in.u64(not_before) && in.u64(not_after) &&
+      in.string(c.collision_padding) && in.u64(c.issuer_sig.tbs_digest) &&
+      in.u8(alg2) && alg2 <= 1 && in.u64(c.issuer_sig.issuer_key_id);
+  if (!read || in.remaining() != 0) return std::nullopt;
+  c.hash_alg = static_cast<HashAlgorithm>(alg1);
+  c.not_before = static_cast<sim::TimePoint>(not_before);
+  c.not_after = static_cast<sim::TimePoint>(not_after);
+  c.issuer_sig.alg = static_cast<HashAlgorithm>(alg2);
+  return c;
+}
+
+Certificate CertificateView::to_certificate() const {
+  Certificate c;
+  c.serial = serial;
+  c.subject = subject;
+  c.issuer_subject = issuer_subject;
+  c.issuer_serial = issuer_serial;
+  c.public_key_id = public_key_id;
+  c.usage = usage;
+  c.hash_alg = hash_alg;
+  c.not_before = not_before;
+  c.not_after = not_after;
+  c.collision_padding = collision_padding;
+  c.issuer_sig = issuer_sig;
+  return c;
 }
 
 void CertStore::set_base(std::shared_ptr<const CertStore> base) {
@@ -190,7 +170,7 @@ CertificateAuthority CertificateAuthority::create_root(
   c.hash_alg = alg;
   c.not_before = not_before;
   c.not_after = not_after;
-  c.issuer_sig = IssuerSignature{digest(alg, c.tbs_bytes()), alg,
+  c.issuer_sig = IssuerSignature{CertificateView(c).tbs_digest(alg), alg,
                                  ca.key_.key_id};
   return ca;
 }
@@ -215,7 +195,8 @@ Certificate CertificateAuthority::issue(std::string subject,
   c.hash_alg = alg;
   c.not_before = not_before;
   c.not_after = not_after;
-  c.issuer_sig = IssuerSignature{digest(alg, c.tbs_bytes()), alg, key_.key_id};
+  c.issuer_sig =
+      IssuerSignature{CertificateView(c).tbs_digest(alg), alg, key_.key_id};
   return c;
 }
 

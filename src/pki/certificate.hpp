@@ -36,6 +36,41 @@ enum class HashAlgorithm : std::uint8_t { kWeakSum = 0, kStrong64 = 1 };
 
 const char* to_string(HashAlgorithm a);
 
+/// Streaming digest under one algorithm: bytes fed in any number of pieces
+/// digest the same as their concatenation. It is a byte sink (append and
+/// push_back), so encoders such as Certificate's TBS writer or
+/// pe::Image::write_signed_region hash straight into it without building
+/// the bytes.
+class Digester {
+ public:
+  explicit Digester(HashAlgorithm alg)
+      : alg_(alg),
+        state_(alg == HashAlgorithm::kStrong64 ? common::kFnv1a64Offset : 0) {}
+
+  void append(std::string_view data) {
+    if (alg_ == HashAlgorithm::kStrong64) {
+      state_ = common::fnv1a64(data, state_);
+      return;
+    }
+    // Weak algorithm: additive byte sum mod 2^16. Deliberately linear and
+    // narrow so that chosen-suffix collisions are computable with a short
+    // trailer (forgery.hpp) — the simulation's stand-in for the MD5
+    // chosen-prefix attack used against the Terminal Services licensing
+    // chain.
+    for (unsigned char c : data) state_ += c;
+  }
+  void push_back(char c) { append(std::string_view(&c, 1)); }
+
+  /// Digest of everything appended so far (widened to 64 bits).
+  std::uint64_t finish() const {
+    return alg_ == HashAlgorithm::kStrong64 ? state_ : state_ & 0xffffULL;
+  }
+
+ private:
+  HashAlgorithm alg_;
+  std::uint64_t state_;
+};
+
 /// Computes a digest of `data` under `alg` (widened to 64 bits).
 std::uint64_t digest(HashAlgorithm alg, std::string_view data);
 
@@ -94,6 +129,82 @@ struct Certificate {
   }
   bool has_usage(std::uint32_t bit) const { return (usage & bit) != 0; }
 };
+
+/// A certificate's fields without ownership: the strings point into a
+/// Certificate or into a serialized certificate, which must outlive the
+/// view. Chain validation works on views, so certificates presented inside
+/// a signature blob are checked in place, never copied.
+struct CertificateView {
+  std::uint64_t serial = 0;
+  std::string_view subject;
+  std::string_view issuer_subject;
+  std::uint64_t issuer_serial = 0;
+  std::uint64_t public_key_id = 0;
+  std::uint32_t usage = kUsageNone;
+  HashAlgorithm hash_alg = HashAlgorithm::kStrong64;
+  sim::TimePoint not_before = 0;
+  sim::TimePoint not_after = 0;
+  std::string_view collision_padding;
+  IssuerSignature issuer_sig;
+
+  CertificateView() = default;
+  // Implicit: a Certificate passes wherever a view is expected.
+  CertificateView(const Certificate& c)
+      : serial(c.serial),
+        subject(c.subject),
+        issuer_subject(c.issuer_subject),
+        issuer_serial(c.issuer_serial),
+        public_key_id(c.public_key_id),
+        usage(c.usage),
+        hash_alg(c.hash_alg),
+        not_before(c.not_before),
+        not_after(c.not_after),
+        collision_padding(c.collision_padding),
+        issuer_sig(c.issuer_sig) {}
+
+  /// Parses Certificate::serialize() output in place (same rules as
+  /// Certificate::parse, which is built on this).
+  static std::optional<CertificateView> parse(std::string_view bytes);
+  /// An owning copy.
+  Certificate to_certificate() const;
+
+  /// Writes the to-be-signed bytes into any byte sink (common::put_u32).
+  template <typename Sink>
+  void write_tbs(Sink& out) const;
+  /// Digest of the TBS bytes under `alg`, streamed without building them.
+  std::uint64_t tbs_digest(HashAlgorithm alg) const {
+    Digester d(alg);
+    write_tbs(d);
+    return d.finish();
+  }
+
+  bool self_signed() const { return issuer_serial == 0; }
+  bool valid_at(sim::TimePoint t) const {
+    return t >= not_before && t <= not_after;
+  }
+  bool has_usage(std::uint32_t bit) const { return (usage & bit) != 0; }
+};
+
+template <typename Sink>
+void CertificateView::write_tbs(Sink& out) const {
+  out.append("TBS1");
+  common::put_u64(out, serial);
+  out.append(subject);
+  out.push_back('\0');
+  out.append(issuer_subject);
+  out.push_back('\0');
+  common::put_u64(out, issuer_serial);
+  common::put_u64(out, public_key_id);
+  common::put_u32(out, usage);
+  out.push_back(static_cast<char>(hash_alg));
+  common::put_u64(out, static_cast<std::uint64_t>(not_before));
+  common::put_u64(out, static_cast<std::uint64_t>(not_after));
+  // Attacker-controllable trailer, appended raw: its bytes shift the weak
+  // additive digest without affecting any authenticated field above. It is
+  // never parsed, only digested, mirroring the unauthenticated fields abused
+  // in the real chosen-prefix collision.
+  out.append(collision_padding);
+}
 
 /// A bundle of certificates indexed by serial; chain validation resolves
 /// issuers against one of these (hosts carry their own store).

@@ -4,6 +4,16 @@
 
 namespace cyd::pki {
 
+namespace {
+
+std::uint64_t image_digest(HashAlgorithm alg, const pe::Image& image) {
+  Digester d(alg);
+  image.write_signed_region(d);
+  return d.finish();
+}
+
+}  // namespace
+
 common::Bytes CodeSignature::serialize() const {
   common::Bytes out("SIG1");
   common::put_u64(out, image_digest);
@@ -11,48 +21,43 @@ common::Bytes CodeSignature::serialize() const {
   common::put_u64(out, signer_serial);
   common::put_u64(out, signer_key_id);
   common::put_u32(out, static_cast<std::uint32_t>(chain.size()));
-  for (const auto& cert : chain) {
-    const auto encoded = cert.serialize();
-    common::put_u32(out, static_cast<std::uint32_t>(encoded.size()));
-    out.append(encoded);
-  }
+  for (const auto& cert : chain) common::put_string(out, cert.serialize());
   return out;
 }
 
 std::optional<CodeSignature> CodeSignature::parse(std::string_view bytes) {
-  constexpr std::size_t kFixed = 4 + 8 + 1 + 8 + 8 + 4;
-  if (bytes.size() < kFixed || bytes.substr(0, 4) != "SIG1") {
-    return std::nullopt;
+  SignatureView view;
+  if (!view.parse(bytes)) return std::nullopt;
+  CodeSignature sig;
+  sig.image_digest = view.image_digest;
+  sig.alg = view.alg;
+  sig.signer_serial = view.signer_serial;
+  sig.signer_key_id = view.signer_key_id;
+  for (const auto& cert : view.chain()) {
+    sig.chain.push_back(cert.to_certificate());
   }
-  try {
-    CodeSignature sig;
-    std::size_t off = 4;
-    sig.image_digest = common::get_u64(bytes, off);
-    off += 8;
-    const auto alg_byte = static_cast<unsigned char>(bytes[off++]);
-    if (alg_byte > 1) return std::nullopt;
-    sig.alg = static_cast<HashAlgorithm>(alg_byte);
-    sig.signer_serial = common::get_u64(bytes, off);
-    off += 8;
-    sig.signer_key_id = common::get_u64(bytes, off);
-    off += 8;
-    const std::uint32_t n_certs = common::get_u32(bytes, off);
-    off += 4;
-    if (n_certs > 64) return std::nullopt;
-    for (std::uint32_t i = 0; i < n_certs; ++i) {
-      const std::uint32_t len = common::get_u32(bytes, off);
-      off += 4;
-      if (off + len > bytes.size()) return std::nullopt;
-      auto cert = Certificate::parse(bytes.substr(off, len));
-      if (!cert) return std::nullopt;
-      sig.chain.push_back(std::move(*cert));
-      off += len;
-    }
-    if (off != bytes.size()) return std::nullopt;
-    return sig;
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
+  return sig;
+}
+
+bool SignatureView::parse(std::string_view bytes) {
+  common::Reader in(bytes);
+  std::string_view magic;
+  unsigned char alg_byte = 0;
+  if (!in.bytes(4, magic) || magic != "SIG1" || !in.u64(image_digest) ||
+      !in.u8(alg_byte) || alg_byte > 1 || !in.u64(signer_serial) ||
+      !in.u64(signer_key_id) || !in.u32(chain_size) ||
+      chain_size > kMaxChain) {
+    return false;
   }
+  alg = static_cast<HashAlgorithm>(alg_byte);
+  for (std::uint32_t i = 0; i < chain_size; ++i) {
+    std::string_view encoded;
+    if (!in.string(encoded)) return false;
+    const auto cert = CertificateView::parse(encoded);
+    if (!cert) return false;
+    chain_slots[i] = *cert;
+  }
+  return in.remaining() == 0;
 }
 
 const char* to_string(SignatureStatus s) {
@@ -87,7 +92,7 @@ void sign_image(pe::Image& image, const Certificate& signer,
   }
   CodeSignature sig;
   sig.alg = signer.hash_alg;
-  sig.image_digest = digest(sig.alg, image.signed_region());
+  sig.image_digest = image_digest(sig.alg, image);
   sig.signer_serial = signer.serial;
   sig.signer_key_id = key.key_id;
   sig.chain.push_back(signer);
@@ -102,28 +107,25 @@ SignatureVerdict verify_image(const pe::Image& image, const CertStore& store,
     verdict.status = SignatureStatus::kUnsigned;
     return verdict;
   }
-  const auto sig = CodeSignature::parse(image.signature);
-  if (!sig) {
+  SignatureView sig;
+  if (!sig.parse(image.signature)) {
     verdict.status = SignatureStatus::kMalformed;
     return verdict;
   }
-  if (digest(sig->alg, image.signed_region()) != sig->image_digest) {
+  if (image_digest(sig.alg, image) != sig.image_digest) {
     verdict.status = SignatureStatus::kDigestMismatch;
     return verdict;
   }
-  // Resolve against the host store merged with the presented chain. Presented
+  // Resolve against the presented chain, then the host store. Presented
   // certificates carry no trust by themselves: anchoring still happens only
   // through the TrustStore.
-  CertStore merged = store;
-  for (const auto& cert : sig->chain) merged.add(cert);
-
-  const Certificate* signer = merged.find(sig->signer_serial);
-  if (signer == nullptr) {
+  const auto signer = resolve(sig.signer_serial, store, sig.chain());
+  if (!signer) {
     verdict.status = SignatureStatus::kSignerUnknown;
     return verdict;
   }
   verdict.signer_subject = signer->subject;
-  if (signer->public_key_id != sig->signer_key_id) {
+  if (signer->public_key_id != sig.signer_key_id) {
     verdict.status = SignatureStatus::kKeyMismatch;
     return verdict;
   }
@@ -131,7 +133,7 @@ SignatureVerdict verify_image(const pe::Image& image, const CertStore& store,
     verdict.status = SignatureStatus::kWrongUsage;
     return verdict;
   }
-  verdict.chain = verify_chain(*signer, merged, trust, now);
+  verdict.chain = verify_chain(*signer, store, trust, now, sig.chain());
   verdict.status = verdict.chain.ok() ? SignatureStatus::kValid
                                       : SignatureStatus::kChainInvalid;
   return verdict;

@@ -7,9 +7,12 @@
 // serial; verification recomputes the digest and validates the signer chain
 // against the host's stores.
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "pe/image.hpp"
 #include "pki/certificate.hpp"
@@ -27,7 +30,29 @@ struct CodeSignature {
   std::vector<Certificate> chain;
 
   common::Bytes serialize() const;
+  /// Owning parse, built on SignatureView::parse.
   static std::optional<CodeSignature> parse(std::string_view bytes);
+};
+
+/// A CodeSignature parsed in place: the chain's strings point into the blob,
+/// which must outlive the view. Lives on the stack; parsing allocates
+/// nothing.
+struct SignatureView {
+  static constexpr std::uint32_t kMaxChain = 64;
+
+  std::uint64_t image_digest = 0;
+  HashAlgorithm alg = HashAlgorithm::kStrong64;
+  std::uint64_t signer_serial = 0;
+  std::uint64_t signer_key_id = 0;
+  std::uint32_t chain_size = 0;
+  std::array<CertificateView, kMaxChain> chain_slots;  // first chain_size set
+
+  /// False unless `bytes` is a complete CodeSignature::serialize() encoding
+  /// with at most kMaxChain well-formed certificates and no trailing bytes.
+  bool parse(std::string_view bytes);
+  std::span<const CertificateView> chain() const {
+    return {chain_slots.data(), chain_size};
+  }
 };
 
 enum class SignatureStatus : std::uint8_t {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 
 #include "pki/certificate.hpp"
@@ -91,8 +92,19 @@ class TrustStore {
   std::optional<bool> reject_weak_hash_;
 };
 
-/// Validates `cert` up to a trusted root, resolving issuers in `store`.
-ChainResult verify_chain(const Certificate& cert, const CertStore& store,
-                         const TrustStore& trust, sim::TimePoint now);
+/// Resolves a serial the way chain validation does: the `presented`
+/// certificates first, searched last to first so a later duplicate shadows
+/// an earlier one, then `store` (its delta, then its base). Nothing is
+/// copied into the store.
+std::optional<CertificateView> resolve(
+    std::uint64_t serial, const CertStore& store,
+    std::span<const CertificateView> presented = {});
+
+/// Validates `cert` up to a trusted root, resolving issuers with resolve().
+/// Presented certificates carry no trust by themselves: anchoring happens
+/// only through `trust`.
+ChainResult verify_chain(const CertificateView& cert, const CertStore& store,
+                         const TrustStore& trust, sim::TimePoint now,
+                         std::span<const CertificateView> presented = {});
 
 }  // namespace cyd::pki

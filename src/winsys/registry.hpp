@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -26,6 +27,11 @@
 namespace cyd::winsys {
 
 using RegValue = std::variant<std::string, std::uint32_t>;
+
+/// Canonical value name -> data, and sets of canonical names. Transparent
+/// comparators let lookups take string_views, so only inserts allocate.
+using RegValueMap = std::map<std::string, RegValue, std::less<>>;
+using RegNameSet = std::set<std::string, std::less<>>;
 
 class Registry {
  public:
@@ -55,14 +61,12 @@ class Registry {
   std::vector<std::pair<std::string, std::string>> all_entries() const;
 
  private:
-  static std::string canon(std::string_view s);
-
   // canonical key -> (canonical value name -> data)
-  std::map<std::string, std::map<std::string, RegValue>> keys_;
+  std::map<std::string, RegValueMap, std::less<>> keys_;
   std::shared_ptr<const Registry> base_;  // immutable template hive layer
-  std::set<std::string> deleted_keys_;    // whole-key whiteouts over base
+  RegNameSet deleted_keys_;               // whole-key whiteouts over base
   // per-value whiteouts over base, canonical key -> value names
-  std::map<std::string, std::set<std::string>> deleted_values_;
+  std::map<std::string, RegNameSet, std::less<>> deleted_values_;
 };
 
 }  // namespace cyd::winsys

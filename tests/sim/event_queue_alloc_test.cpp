@@ -1,56 +1,22 @@
 // Steady-state allocation proof for the slab-backed event queue: once the
 // slab, free list and heap have reached their working size, scheduling and
 // firing events — including every firing of a periodic series with an
-// inline-sized closure — must perform ZERO heap allocations. This binary
-// replaces the global operator new with a counting hook, so it gets its own
-// test target (alloc_tests) instead of riding in sim_tests.
+// inline-sized closure — must perform ZERO heap allocations. The alloc_tests
+// binary links the counting operator new of tools/alloc_hook, so it is its
+// own test target instead of riding in sim_tests.
 
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
-// Sanitizer builds interpose their own allocator machinery around
-// operator new; the counts stop meaning "allocations the queue made", so the
-// zero-allocation assertions are skipped there (the behaviour half of each
-// test still runs).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CYD_ALLOC_COUNTS_RELIABLE 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define CYD_ALLOC_COUNTS_RELIABLE 0
-#endif
-#endif
-#ifndef CYD_ALLOC_COUNTS_RELIABLE
-#define CYD_ALLOC_COUNTS_RELIABLE 1
-#endif
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_hook.hpp"
 
 namespace cyd::sim {
 namespace {
 
-std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+std::size_t allocation_count() { return alloc_hook::allocations(); }
 
 TEST(EventQueueAllocTest, PeriodicSteadyStateAllocatesNothing) {
   EventQueue q;

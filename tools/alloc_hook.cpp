@@ -1,0 +1,32 @@
+#include "alloc_hook.hpp"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+}  // namespace
+
+namespace cyd::alloc_hook {
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t bytes() { return g_bytes.load(std::memory_order_relaxed); }
+
+}  // namespace cyd::alloc_hook
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
