@@ -47,10 +47,11 @@ std::vector<analysis::LabelledSpecimen> mint_specimens() {
 
 void reproduce() {
   // Minting touches the function-local static Worlds, so it stays on this
-  // thread. The library's similarity_matrix does the rest — serial
-  // extraction into one shared FeatureDict, then the pairwise scores
-  // sweeping the upper triangle — so the bench no longer duplicates the
-  // triangle/scatter logic it used to carry inline.
+  // thread. The library's similarity_matrix does the rest — extract_pile
+  // (carve on the sweep pool, intern in specimen order into one shared
+  // FeatureDict), then the pairwise scores sweeping the upper triangle —
+  // so the bench no longer duplicates the triangle/scatter logic it used
+  // to carry inline.
   const auto specimens = mint_specimens();
   const std::size_t n = specimens.size();
   const auto matrix = analysis::similarity_matrix(specimens);

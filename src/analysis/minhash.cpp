@@ -1,7 +1,6 @@
 #include "analysis/minhash.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "analysis/union_find.hpp"
 #include "sim/sweep.hpp"
@@ -59,6 +58,52 @@ std::uint64_t band_hash(const std::uint64_t* rows, std::size_t count,
   return h;
 }
 
+/// All pairs of specimens whose sketches collide in `band`, sorted and
+/// unique with i < j, at exactly their final size. Specimens sort by
+/// (band hash, index), so each bucket is a run with members ascending;
+/// walking specimens in index order and pairing each with the later
+/// members of its bucket then emits the pairs already in order.
+std::vector<CandidatePair> band_pairs(
+    const std::vector<MinHashSketch>& sketches, const MinHashParams& params,
+    std::size_t band) {
+  const std::size_t n = sketches.size();
+  struct Entry {
+    std::uint64_t hash;
+    std::uint32_t index;
+  };
+  std::vector<Entry> entries(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    entries[s] = {band_hash(sketches[s].sig.data() + band * params.rows,
+                            params.rows, band),
+                  static_cast<std::uint32_t>(s)};
+  }
+  std::sort(entries.begin(), entries.end(), [](const Entry& x, const Entry& y) {
+    return x.hash != y.hash ? x.hash < y.hash : x.index < y.index;
+  });
+  // For each specimen: where its bucket's members after it begin and end.
+  std::vector<std::uint32_t> next(n);
+  std::vector<std::uint32_t> bucket_end(n);
+  std::size_t total = 0;
+  for (std::size_t lo = 0; lo < n;) {
+    std::size_t hi = lo + 1;
+    while (hi < n && entries[hi].hash == entries[lo].hash) ++hi;
+    total += (hi - lo) * (hi - lo - 1) / 2;
+    for (std::size_t k = lo; k < hi; ++k) {
+      next[entries[k].index] = static_cast<std::uint32_t>(k + 1);
+      bucket_end[entries[k].index] = static_cast<std::uint32_t>(hi);
+    }
+    lo = hi;
+  }
+  std::vector<CandidatePair> pairs;
+  pairs.reserve(total);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = next[s]; k < bucket_end[s]; ++k) {
+      pairs.push_back({static_cast<std::uint32_t>(s), entries[k].index});
+    }
+  }
+  return pairs;
+}
+
 }  // namespace
 
 MinHashSketch minhash_sketch(const SpecimenFeatures& features,
@@ -76,44 +121,33 @@ std::vector<CandidatePair> lsh_candidate_pairs(
     const std::vector<MinHashSketch>& sketches,
     const MinHashParams& params) {
   const std::size_t n = sketches.size();
-  if (n < 2) return {};
-  // One probe task per band: bucket every specimen by its band hash, emit
-  // all intra-bucket pairs. Each band owns its output vector, so the
-  // fan-out is synchronisation-free; the merged result is sorted and
-  // deduplicated below, which erases both the band order and the bucket
-  // iteration order from the final answer.
-  std::vector<std::size_t> bands(params.bands);
-  for (std::size_t b = 0; b < bands.size(); ++b) bands[b] = b;
-  const auto per_band = sim::Sweep::map_items(bands, [&](std::size_t band) {
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-    buckets.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::uint64_t h = band_hash(
-          sketches[s].sig.data() + band * params.rows, params.rows, band);
-      buckets[h].push_back(static_cast<std::uint32_t>(s));
-    }
-    std::vector<CandidatePair> pairs;
-    for (const auto& [hash, members] : buckets) {
-      if (members.size() < 2) continue;
-      for (std::size_t a = 0; a < members.size(); ++a) {
-        for (std::size_t b = a + 1; b < members.size(); ++b) {
-          pairs.push_back({members[a], members[b]});
-        }
-      }
-    }
-    return pairs;
+  if (n < 2 || params.bands == 0) return {};
+  // One probe task per band, each owning its list, so the fan-out needs no
+  // synchronisation; each list comes out sorted and unique, and a
+  // pairwise set_union tree on the pool merges them. The result is the
+  // sorted-unique union, identical at any worker count.
+  auto& pool = sim::default_sweep_runner();
+  std::vector<std::vector<CandidatePair>> lists(params.bands);
+  pool.run_indexed(lists.size(), [&](std::size_t band) {
+    lists[band] = band_pairs(sketches, params, band);
   });
-
-  std::size_t total = 0;
-  for (const auto& pairs : per_band) total += pairs.size();
-  std::vector<CandidatePair> merged;
-  merged.reserve(total);
-  for (const auto& pairs : per_band) {
-    merged.insert(merged.end(), pairs.begin(), pairs.end());
+  for (std::size_t width = 1; width < lists.size(); width *= 2) {
+    const std::size_t merges = (lists.size() + 2 * width - 1) / (2 * width);
+    pool.run_indexed(merges, [&](std::size_t m) {
+      const std::size_t a = 2 * width * m;
+      const std::size_t b = a + width;
+      if (b >= lists.size()) return;
+      std::vector<CandidatePair> merged(lists[a].size() + lists[b].size());
+      merged.erase(std::set_union(lists[a].begin(), lists[a].end(),
+                                  lists[b].begin(), lists[b].end(),
+                                  merged.begin()),
+                   merged.end());
+      merged.shrink_to_fit();
+      lists[a] = std::move(merged);
+      lists[b] = {};
+    });
   }
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  return merged;
+  return std::move(lists[0]);
 }
 
 std::vector<std::vector<std::size_t>> cluster_features_lsh(

@@ -84,8 +84,10 @@ struct CandidatePair {
 
 /// All pairs of specimens whose sketches collide in at least one band,
 /// deduplicated and sorted lexicographically. Band probing fans out over
-/// the sweep pool (one task per band); the merged result is sorted, so it
-/// is identical at any worker count. Requires sketches.size() < 2³².
+/// the sweep pool (one task per band, each emitting its pairs already
+/// sorted); a pairwise set_union tree on the pool merges the band lists,
+/// so the result is identical at any worker count. Requires
+/// sketches.size() < 2³².
 std::vector<CandidatePair> lsh_candidate_pairs(
     const std::vector<MinHashSketch>& sketches,
     const MinHashParams& params = {});

@@ -1,7 +1,9 @@
 #include "analysis/similarity.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 
 #include "analysis/static_analysis.hpp"
 #include "analysis/union_find.hpp"
@@ -18,6 +20,15 @@ constexpr std::size_t kMinStringLength = 6;
 /// hint — real piles dedup heavily across specimens, so this overshoots,
 /// which is the cheap direction.
 constexpr std::size_t kFeaturesPerSpecimenHint = 48;
+
+/// Specimens per extract_pile block: one pool task each for the carve,
+/// enough to keep every worker busy beside the intern task, few enough
+/// that the staged feature bytes stay small.
+constexpr std::size_t kCarveBlock = 256;
+
+/// Resource nesting extract_pile descends through (extract_features'
+/// default).
+constexpr int kMaxCarveDepth = 4;
 
 /// Pairs scored per sweep task. Coarse enough that the per-task dispatch
 /// (one std::function call, two clock reads) is noise; fine enough that
@@ -62,45 +73,101 @@ void sweep_pair_scores(const std::vector<SpecimenFeatures>& features,
       });
 }
 
-void collect_features(const pe::Image& image, FeatureDict& dict,
-                      SpecimenFeatures& out, int max_depth) {
-  for (const auto& section : image.sections) {
-    out.section_names.push_back(dict.intern(section.name));
-    for_each_string(section.data, kMinStringLength, [&](std::string_view s) {
-      out.strings.push_back(dict.intern(s));
+/// The SpecimenFeatures vector a carved feature lands in.
+using FeatureClass = std::vector<FeatureId> SpecimenFeatures::*;
+constexpr FeatureClass kStringClass = &SpecimenFeatures::strings;
+constexpr FeatureClass kImportClass = &SpecimenFeatures::imports;
+constexpr FeatureClass kSectionClass = &SpecimenFeatures::section_names;
+
+std::optional<pe::Image> try_parse(std::string_view bytes) {
+  try {
+    return pe::Image::parse(bytes);
+  } catch (const pe::ParseError&) {
+    return std::nullopt;
+  }
+}
+
+/// Calls visit(class, feature) for every feature of a parsed image in
+/// extraction order: per section its name then its strings, the imports
+/// ("dll!fn", built in `scratch`), the version blob's strings, then each
+/// resource — carved recursively when its XOR-recovered payload parses as
+/// a PE, scanned for strings otherwise. The order fixes the first-seen
+/// FeatureDict ids, so it is part of the contract.
+template <class Visit>
+void visit_image(const pe::Image& image, int max_depth, std::string& scratch,
+                 Visit& visit) {
+  const auto visit_strings = [&](std::string_view data) {
+    for_each_string(data, kMinStringLength, [&](std::string_view s) {
+      visit(kStringClass, s);
     });
+  };
+  for (const auto& section : image.sections) {
+    visit(kSectionClass, section.name);
+    visit_strings(section.data);
   }
   for (const auto& import : image.imports) {
     for (const auto& fn : import.functions) {
-      out.imports.push_back(dict.intern_import(import.dll, fn));
+      scratch.assign(import.dll);
+      scratch.push_back('!');
+      scratch.append(fn);
+      visit(kImportClass, scratch);
     }
   }
-  for_each_string(image.version_info, kMinStringLength,
-                  [&](std::string_view s) {
-                    out.strings.push_back(dict.intern(s));
-                  });
+  visit_strings(image.version_info);
   if (max_depth <= 0) return;
   for (const auto& resource : image.resources) {
-    common::Bytes payload = resource.data;
+    common::Bytes decrypted;
+    std::string_view payload = resource.data;
     if (auto key = brute_xor_key(resource.data)) {
-      payload = common::xor_cipher(resource.data, *key);
+      decrypted = common::xor_cipher(resource.data, *key);
+      payload = decrypted;
     }
-    if (pe::Image::looks_like_pe(payload)) {
-      try {
-        collect_features(pe::Image::parse(payload), dict, out, max_depth - 1);
-        continue;
-      } catch (const pe::ParseError&) {
-      }
+    std::optional<pe::Image> nested;
+    if (pe::Image::looks_like_pe(payload)) nested = try_parse(payload);
+    if (nested) {
+      visit_image(*nested, max_depth - 1, scratch, visit);
+    } else {
+      visit_strings(payload);
     }
-    for_each_string(payload, kMinStringLength, [&](std::string_view s) {
-      out.strings.push_back(dict.intern(s));
+  }
+}
+
+/// The one carve path behind extract_features and extract_pile: every
+/// feature of one specimen in extraction order; bytes that do not parse
+/// as a PE yield their printable strings only.
+template <class Visit>
+void visit_features(std::string_view bytes, int max_depth, Visit&& visit) {
+  if (const auto image = try_parse(bytes)) {
+    std::string scratch;
+    visit_image(*image, max_depth, scratch, visit);
+  } else {
+    for_each_string(bytes, kMinStringLength, [&](std::string_view s) {
+      visit(kStringClass, s);
     });
   }
 }
 
+/// One specimen's features as carved on the pool, waiting for the
+/// in-order intern: the feature bytes back to back in `text`, and per
+/// feature its class and end offset there.
+struct CarvedSpecimen {
+  struct Feature {
+    std::size_t end = 0;
+    FeatureClass cls = kStringClass;
+  };
+  std::string text;
+  std::vector<Feature> features;
+};
+
 void sort_unique(std::vector<FeatureId>& ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+void sort_unique(SpecimenFeatures& f) {
+  sort_unique(f.strings);
+  sort_unique(f.imports);
+  sort_unique(f.section_names);
 }
 
 /// Jaccard over two sorted, deduplicated id spans: one branch-light linear
@@ -137,38 +204,73 @@ FeatureId FeatureDict::intern(std::string_view s) {
   return id;
 }
 
-FeatureId FeatureDict::intern_import(std::string_view dll,
-                                     std::string_view fn) {
-  scratch_.assign(dll);
-  scratch_.push_back('!');
-  scratch_.append(fn);
-  return intern(scratch_);
-}
-
 std::vector<SpecimenFeatures> extract_pile(
     const std::vector<LabelledSpecimen>& specimens, FeatureDict& dict) {
-  dict.reserve(specimens.size() * kFeaturesPerSpecimenHint);
-  std::vector<SpecimenFeatures> features;
-  features.reserve(specimens.size());
-  for (const auto& specimen : specimens) {
-    features.push_back(extract_features(specimen.bytes, dict));
+  const std::size_t n = specimens.size();
+  dict.reserve(n * kFeaturesPerSpecimenHint);
+  std::vector<SpecimenFeatures> features(n);
+  const std::size_t blocks = (n + kCarveBlock - 1) / kCarveBlock;
+  // Two carve buffers, reused block after block: the pool carves block b
+  // into one while a single task interns block b - 1 from the other, so
+  // at most two blocks of feature bytes are held however large the pile.
+  std::array<std::vector<CarvedSpecimen>, 2> carved;
+  for (auto& buffer : carved) buffer.resize(std::min(n, kCarveBlock));
+  const auto carve = [&](std::size_t block, std::size_t k) {
+    auto& slot = carved[block % 2][k];
+    slot.text.clear();
+    slot.features.clear();
+    visit_features(specimens[block * kCarveBlock + k].bytes, kMaxCarveDepth,
+                   [&](FeatureClass cls, std::string_view s) {
+                     slot.text.append(s);
+                     slot.features.push_back({slot.text.size(), cls});
+                   });
+  };
+  // Blocks intern one at a time, in order, and within a block specimen by
+  // specimen and feature by feature: exactly the ids a serial
+  // extract_features loop assigns.
+  const auto intern = [&](std::size_t block) {
+    const std::size_t begin = block * kCarveBlock;
+    const std::size_t count = std::min(kCarveBlock, n - begin);
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto& slot = carved[block % 2][k];
+      auto& out = features[begin + k];
+      std::size_t start = 0;
+      for (const auto& f : slot.features) {
+        const std::string_view s(slot.text.data() + start, f.end - start);
+        (out.*f.cls).push_back(dict.intern(s));
+        start = f.end;
+      }
+    }
+  };
+  auto& pool = sim::default_sweep_runner();
+  for (std::size_t step = 0; step <= blocks; ++step) {
+    const std::size_t interning = step > 0 ? 1 : 0;
+    const std::size_t carving =
+        step < blocks ? std::min(kCarveBlock, n - step * kCarveBlock) : 0;
+    pool.run_indexed(interning + carving, [&](std::size_t t) {
+      if (t < interning) {
+        intern(step - 1);
+      } else {
+        carve(step, t - interning);
+      }
+    });
   }
+  pool.run_indexed(blocks, [&](std::size_t block) {
+    const std::size_t end = std::min(n, (block + 1) * kCarveBlock);
+    for (std::size_t i = block * kCarveBlock; i < end; ++i) {
+      sort_unique(features[i]);
+    }
+  });
   return features;
 }
 
 SpecimenFeatures extract_features(std::string_view bytes, FeatureDict& dict,
                                   int max_depth) {
   SpecimenFeatures out;
-  try {
-    collect_features(pe::Image::parse(bytes), dict, out, max_depth);
-  } catch (const pe::ParseError&) {
-    for_each_string(bytes, kMinStringLength, [&](std::string_view s) {
-      out.strings.push_back(dict.intern(s));
-    });
-  }
-  sort_unique(out.strings);
-  sort_unique(out.imports);
-  sort_unique(out.section_names);
+  visit_features(bytes, max_depth, [&](FeatureClass cls, std::string_view s) {
+    (out.*cls).push_back(dict.intern(s));
+  });
+  sort_unique(out);
   return out;
 }
 
@@ -237,8 +339,8 @@ std::vector<double> similarity_triangle(
 std::vector<double> similarity_matrix(
     const std::vector<LabelledSpecimen>& specimens) {
   const std::size_t n = specimens.size();
-  // Extraction feeds the shared dict, so it stays on the caller thread;
-  // the pure pairwise scores sweep. Each block of triangle indices is
+  // extract_pile carves on the pool and interns in order; the pure
+  // pairwise scores sweep. Each block of triangle indices is
   // decoded arithmetically and scatters its own symmetric cells — every
   // matrix cell has exactly one writer, so no pair list and no score
   // staging vector are ever materialized.

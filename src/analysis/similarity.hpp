@@ -37,22 +37,18 @@ namespace cyd::analysis {
 using FeatureId = std::uint64_t;
 
 /// Deduplicating feature intern table shared by every specimen in one
-/// analysis (ids from different dicts are not comparable). Not thread-safe;
-/// extraction is the serial stage, scoring over the resulting id vectors is
-/// what parallelizes.
+/// analysis (ids from different dicts are not comparable). Not thread-safe:
+/// extract_pile carves specimens on the sweep pool but interns their
+/// features on one thread, in specimen order.
 class FeatureDict {
  public:
   /// Id for `s`, interning on first sight. Amortised O(1); allocates only
   /// the first time a distinct feature appears.
   FeatureId intern(std::string_view s);
 
-  /// Id for the import feature "dll!fn" without materializing a fresh
-  /// std::string per call (one scratch buffer, capacity reused).
-  FeatureId intern_import(std::string_view dll, std::string_view fn);
-
-  /// Pre-sizes the id table for `expected` distinct features so the serial
-  /// intern stage of a large pile does not pay rehash churn. A hint, not a
-  /// cap: interning past it just grows as usual.
+  /// Pre-sizes the id table for `expected` distinct features so the
+  /// in-order intern stage of a large pile does not pay rehash churn. A
+  /// hint, not a cap: interning past it just grows as usual.
   void reserve(std::size_t expected) { ids_.reserve(expected); }
 
   /// The string behind an id. Views stay valid for the dict's lifetime
@@ -74,7 +70,6 @@ class FeatureDict {
 
   std::deque<std::string> features_;  // id -> string, stable addresses
   std::unordered_map<std::string, FeatureId, Hash, std::equal_to<>> ids_;
-  std::string scratch_;  // reused by intern_import
 };
 
 /// Comparable feature set of one specimen: three sorted, deduplicated
@@ -110,9 +105,14 @@ struct LabelledSpecimen {
 };
 
 /// Extracts a whole pile into one shared dict (pre-sized via
-/// FeatureDict::reserve so large piles skip rehash churn). The serial
-/// stage of every pile pipeline; the returned vector parallels
-/// `specimens`.
+/// FeatureDict::reserve so large piles skip rehash churn); the returned
+/// vector parallels `specimens`. The pile runs in fixed blocks: the carve
+/// (parse, XOR key recovery, nested carving, string scan) fans out over
+/// the sweep pool one specimen per task, then the block's features are
+/// interned on the calling thread in specimen order. Ids, and so every
+/// vector, equal those of a serial extract_features loop over the pile,
+/// at any worker count; only one block of carved feature bytes is held at
+/// a time.
 std::vector<SpecimenFeatures> extract_pile(
     const std::vector<LabelledSpecimen>& specimens, FeatureDict& dict);
 
@@ -127,7 +127,7 @@ std::vector<std::vector<std::string>> cluster_specimens(
     const std::vector<LabelledSpecimen>& specimens, double threshold);
 
 /// Full pairwise matrix (row-major, n x n) for reporting. Extraction is
-/// serial (one shared dict); the O(n²) pairwise stage sweeps the upper
+/// extract_pile (one shared dict); the O(n²) pairwise stage sweeps the upper
 /// triangle across the sweep pool in fixed blocks of pair indices with the
 /// usual bit-identical-to-serial aggregation. The triangle is decoded
 /// arithmetically (k -> (i,j) via triangle_pair) inside the sweep lambda —

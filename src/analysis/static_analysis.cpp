@@ -1,5 +1,6 @@
 #include "analysis/static_analysis.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace cyd::analysis {
@@ -10,21 +11,35 @@ constexpr std::size_t kMinStringLength = 6;
 
 }  // namespace
 
+const std::array<bool, 256>& printable_table() {
+  static const std::array<bool, 256> table = [] {
+    std::array<bool, 256> t{};
+    for (int c = 0; c < 256; ++c) t[c] = std::isprint(c) && c != '\t';
+    return t;
+  }();
+  return table;
+}
+
 std::optional<std::uint8_t> brute_xor_key(std::string_view data,
                                           std::string_view marker) {
   if (data.size() < marker.size() || marker.empty()) return std::nullopt;
-  for (int key = 0; key < 256; ++key) {
-    // Decrypt just enough of the head to test for the marker (plus slack in
-    // case the marker is not at offset zero).
-    const std::size_t probe_len =
-        std::min(data.size(), marker.size() + 64);
-    const auto probe = common::xor_cipher(data.substr(0, probe_len),
-                                          static_cast<std::uint8_t>(key));
-    if (probe.find(marker) != std::string::npos) {
-      return static_cast<std::uint8_t>(key);
+  // Probe just the head, plus slack in case the marker is not at offset
+  // zero.
+  const std::size_t probe_len = std::min(data.size(), marker.size() + 64);
+  const auto byte = [](std::string_view s, std::size_t i) {
+    return static_cast<std::uint8_t>(s[i]);
+  };
+  std::optional<std::uint8_t> best;
+  for (std::size_t p = 0; p + marker.size() <= probe_len; ++p) {
+    const auto key = static_cast<std::uint8_t>(byte(data, p) ^ byte(marker, 0));
+    if (best && key >= *best) continue;
+    std::size_t i = 1;
+    while (i < marker.size() && (byte(data, p + i) ^ key) == byte(marker, i)) {
+      ++i;
     }
+    if (i == marker.size()) best = key;
   }
-  return std::nullopt;
+  return best;
 }
 
 std::size_t StaticReport::embedded_pe_count() const {
@@ -92,10 +107,12 @@ StaticReport dissect(std::string_view bytes, const pki::CertStore& store,
 
     // The analyst does not trust header metadata: recover the key by brute
     // force, falling back to the stored plaintext for unencrypted entries.
-    common::Bytes payload = resource.data;
+    common::Bytes decrypted;
+    std::string_view payload = resource.data;
     if (auto key = brute_xor_key(resource.data)) {
       info.recovered_xor_key = key;
-      payload = common::xor_cipher(resource.data, *key);
+      decrypted = common::xor_cipher(resource.data, *key);
+      payload = decrypted;
     }
     if (max_depth > 0 && pe::Image::looks_like_pe(payload)) {
       info.embedded = std::make_unique<StaticReport>(

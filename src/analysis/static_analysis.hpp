@@ -7,7 +7,7 @@
 // (Shamoon's wiper-inside-TrkSvr, driver-inside-wiper), extract printable
 // strings, and judge the Authenticode signature against a trust store.
 
-#include <cctype>
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,17 +64,23 @@ struct StaticReport {
   std::string summary() const;
 };
 
+/// `std::isprint(c) && c != '\t'` for every byte value, tabulated on first
+/// use. The program never changes its C locale, so a lookup gives the libc
+/// answer without a libc call per byte.
+const std::array<bool, 256>& printable_table();
+
 /// Visits every printable ASCII run of at least `min_length` in `data`
 /// without allocating: `cb` receives a std::string_view aliasing `data`
-/// (valid only for the duration of the call). Feature extraction interns
-/// the views directly; dissect copies them into StaticReport::strings.
+/// (valid only for the duration of the call). Feature extraction carves
+/// the views into its per-specimen buffer; dissect copies them into
+/// StaticReport::strings.
 template <class Cb>
 void for_each_string(std::string_view data, std::size_t min_length, Cb&& cb) {
+  const auto& printable = printable_table();
   std::size_t run_start = 0;
   std::size_t run_len = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(data[i]);
-    if (std::isprint(c) && c != '\t') {
+    if (printable[static_cast<unsigned char>(data[i])]) {
       if (run_len == 0) run_start = i;
       ++run_len;
     } else {
@@ -86,7 +92,10 @@ void for_each_string(std::string_view data, std::size_t min_length, Cb&& cb) {
 }
 
 /// Brute-forces a single-byte XOR key by looking for a known plaintext
-/// marker (default: the SPE magic) in the decryption of `data`.
+/// marker (default: the SPE magic) in the decryption of the first
+/// marker.size() + 64 bytes of `data`; the smallest key that reveals the
+/// marker wins. One pass over that window, no allocation: at each offset
+/// the only candidate key is data[p] ^ marker[0].
 std::optional<std::uint8_t> brute_xor_key(
     std::string_view data, std::string_view marker = "SPE1");
 

@@ -3,6 +3,27 @@
 #include <algorithm>
 
 namespace cyd::sim {
+namespace {
+
+/// The runner whose task this thread is running, if any.
+thread_local const SweepRunner* current_runner = nullptr;
+
+/// Marks the thread as inside `runner`'s task for its lifetime, restoring
+/// the previous mark (a task of another runner) afterwards.
+class TaskScope {
+ public:
+  explicit TaskScope(const SweepRunner* runner) : saved_(current_runner) {
+    current_runner = runner;
+  }
+  ~TaskScope() { current_runner = saved_; }
+  TaskScope(const TaskScope&) = delete;
+  TaskScope& operator=(const TaskScope&) = delete;
+
+ private:
+  const SweepRunner* saved_;
+};
+
+}  // namespace
 
 double SweepStats::total_run_ms() const {
   double total = 0.0;
@@ -67,8 +88,11 @@ bool SweepRunner::steal(std::size_t thief, std::size_t& out) {
   return false;
 }
 
+bool SweepRunner::in_own_task() const { return current_runner == this; }
+
 void SweepRunner::drain(std::size_t self,
                         const std::function<void(std::size_t)>& task) {
+  const TaskScope scope(this);
   std::size_t index = 0;
   while (take(self, index) || steal(self, index)) {
     try {
@@ -108,6 +132,18 @@ void SweepRunner::worker_loop(std::size_t self) {
 void SweepRunner::run_indexed(std::size_t count,
                               const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
+  if (in_own_task()) {
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        task(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+    return;
+  }
 
   // Balanced contiguous partition of [0, count) across the shards.
   const std::size_t n = shards_.size();

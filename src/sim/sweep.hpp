@@ -79,6 +79,10 @@ class SweepRunner {
   /// Invokes task(i) exactly once for every i in [0, count), distributed
   /// across the pool. Blocks until all invocations complete; the first
   /// exception thrown by a task is rethrown here after the sweep settles.
+  /// A call made from inside one of this runner's own tasks (a sweep task
+  /// that clusters a pile, say) runs inline on the calling thread in index
+  /// order: the pool is busy with the outer sweep, and waiting on it from
+  /// one of its own tasks would deadlock.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& task);
 
@@ -90,17 +94,21 @@ class SweepRunner {
     static_assert(std::is_default_constructible_v<R>,
                   "SweepRunner::map result type must be default-constructible");
     std::vector<R> results(runs);
-    stats_ = SweepStats{};
-    stats_.runs.resize(runs);
-    stats_.workers = workers();
+    // A nested map (inline, see run_indexed) keeps its stats to itself so
+    // last_stats() still describes the outer sweep.
+    SweepStats nested_stats;
+    SweepStats& stats = in_own_task() ? nested_stats : stats_;
+    stats = SweepStats{};
+    stats.runs.resize(runs);
+    stats.workers = workers();
     const auto sweep_start = std::chrono::steady_clock::now();
     run_indexed(runs, [&](std::size_t i) {
       const SweepRun run{i, derive_seed(base_seed, i)};
       const auto run_start = std::chrono::steady_clock::now();
       results[i] = fn(run);  // distinct slots; no synchronisation needed
-      stats_.runs[i] = RunStats{run.seed, elapsed_ms(run_start)};
+      stats.runs[i] = RunStats{run.seed, elapsed_ms(run_start)};
     });
-    stats_.wall_ms = elapsed_ms(sweep_start);
+    stats.wall_ms = elapsed_ms(sweep_start);
     return results;
   }
 
@@ -116,7 +124,7 @@ class SweepRunner {
     return init;
   }
 
-  /// Stats for the most recent map()/reduce() call.
+  /// Stats for the most recent top-level map()/reduce() call.
   const SweepStats& last_stats() const { return stats_; }
 
  private:
@@ -131,6 +139,9 @@ class SweepRunner {
                std::chrono::steady_clock::now() - start)
         .count();
   }
+
+  /// True on a thread that is running one of this runner's tasks.
+  bool in_own_task() const;
 
   void worker_loop(std::size_t self);
   void drain(std::size_t self, const std::function<void(std::size_t)>& task);

@@ -466,7 +466,7 @@ TEST(SimilarityPropertyTest, FeatureDictReserveDoesNotPerturbIds) {
 TEST(SimilarityPropertyTest, FeatureDictInternsAreStableAndViewable) {
   FeatureDict dict;
   const auto a = dict.intern("mssecmgr.ocx");
-  const auto b = dict.intern_import("kernel32.dll", "CreateFileW");
+  const auto b = dict.intern("kernel32.dll!CreateFileW");
   EXPECT_EQ(dict.intern("mssecmgr.ocx"), a);
   EXPECT_EQ(dict.intern("kernel32.dll!CreateFileW"), b);
   EXPECT_EQ(dict.view(a), "mssecmgr.ocx");

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "malware/shamoon/shamoon.hpp"
 #include "malware/tracker.hpp"
 #include "net/network.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace cyd::analysis {
@@ -64,6 +69,96 @@ TEST(StaticAnalysisTest, BruteXorRecoversKey) {
   EXPECT_EQ(brute_xor_key(plain), 0);
   // Garbage without the marker fails.
   EXPECT_FALSE(brute_xor_key("no marker here at all").has_value());
+}
+
+/// The decrypt-and-search key recovery brute_xor_key replaced, kept as its
+/// oracle: decrypt the probe window under each of the 256 keys in turn and
+/// return the first key whose plaintext contains the marker.
+std::optional<std::uint8_t> brute_xor_key_by_decryption(
+    std::string_view data, std::string_view marker) {
+  if (data.size() < marker.size() || marker.empty()) return std::nullopt;
+  for (int key = 0; key < 256; ++key) {
+    const std::size_t probe_len = std::min(data.size(), marker.size() + 64);
+    const auto probe = common::xor_cipher(data.substr(0, probe_len),
+                                          static_cast<std::uint8_t>(key));
+    if (probe.find(marker) != std::string::npos) {
+      return static_cast<std::uint8_t>(key);
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(StaticAnalysisTest, BruteXorKeyMatchesDecryptionOracle) {
+  sim::Rng rng(0xb7e1);
+  const std::string markers[] = {"SPE1", "M", "ZZ", std::string("\0\0", 2),
+                                 "payload-marker"};
+  std::size_t checked = 0;
+  for (const auto& marker : markers) {
+    // The marker planted under a random key at every offset 0..70, which
+    // crosses the edge of the marker.size() + 64 probe window.
+    for (std::size_t offset = 0; offset <= 70; ++offset) {
+      for (int round = 0; round < 4; ++round) {
+        const auto tail = static_cast<std::size_t>(rng.uniform_int(0, 40));
+        auto data = common::random_bytes(rng, offset + marker.size() + tail);
+        const auto key = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        data.replace(offset, marker.size(), common::xor_cipher(marker, key));
+        EXPECT_EQ(brute_xor_key(data, marker),
+                  brute_xor_key_by_decryption(data, marker))
+            << "marker " << marker.size() << " bytes at offset " << offset;
+        ++checked;
+      }
+    }
+    // Unplanted buffers over a small alphabet: short markers match by
+    // accident under many keys at once.
+    for (int round = 0; round < 200; ++round) {
+      std::string data(static_cast<std::size_t>(rng.uniform_int(0, 120)), 0);
+      for (auto& c : data) c = static_cast<char>(rng.uniform_int(0, 3) * 77);
+      EXPECT_EQ(brute_xor_key(data, marker),
+                brute_xor_key_by_decryption(data, marker));
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 5u * (71 * 4 + 200));
+}
+
+TEST(StaticAnalysisTest, BruteXorKeyPicksTheSmallestMatchingKey) {
+  const std::string marker = "SPE1";
+  // The marker under key 0x90 first, then under key 0x11 further in:
+  // the smaller key wins wherever it sits in the window.
+  std::string data(48, '\x01');
+  data.replace(2, 4, common::xor_cipher(marker, 0x90));
+  data.replace(30, 4, common::xor_cipher(marker, 0x11));
+  EXPECT_EQ(brute_xor_key(data, marker), 0x11);
+  EXPECT_EQ(brute_xor_key_by_decryption(data, marker), 0x11);
+  // Past the probe window the smaller key is never seen.
+  std::string far(100, '\x01');
+  far.replace(0, 4, common::xor_cipher(marker, 0x90));
+  far.replace(65, 4, common::xor_cipher(marker, 0x11));
+  EXPECT_EQ(brute_xor_key(far, marker), 0x90);
+  EXPECT_EQ(brute_xor_key_by_decryption(far, marker), 0x90);
+  // A two-byte marker with equal bytes: every adjacent equal pair of
+  // bytes is a match, so the smallest such byte value wins.
+  const std::string pairs("\x07\x07\x03\x03\x09\x09", 6);
+  EXPECT_EQ(brute_xor_key(pairs, std::string_view("\0\0", 2)), 0x03);
+}
+
+TEST(StaticAnalysisTest, BruteXorKeyEdgeSizes) {
+  const std::string marker = "SPE1";
+  // Shorter than the marker: no key.
+  EXPECT_FALSE(brute_xor_key("SPE", marker).has_value());
+  EXPECT_FALSE(brute_xor_key("", marker).has_value());
+  // Exactly marker-sized: one offset, one candidate key.
+  EXPECT_EQ(brute_xor_key(common::xor_cipher(marker, 0x42), marker), 0x42);
+  EXPECT_EQ(brute_xor_key(marker, marker), 0x00);
+  EXPECT_FALSE(brute_xor_key("SPE2", marker).has_value());
+  // An empty marker recovers nothing.
+  EXPECT_FALSE(brute_xor_key("anything", "").has_value());
+  EXPECT_FALSE(brute_xor_key("", "").has_value());
+  for (const std::string_view data : {"SPE", "SPE1", "SPE2", "", "anything"}) {
+    EXPECT_EQ(brute_xor_key(data, marker),
+              brute_xor_key_by_decryption(data, marker));
+    EXPECT_EQ(brute_xor_key(data, ""), brute_xor_key_by_decryption(data, ""));
+  }
 }
 
 TEST(StaticAnalysisTest, GarbageIsUnparseable) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "analysis/similarity.hpp"
 #include "analysis/static_analysis.hpp"
 #include "analysis/yara.hpp"
 #include "cnc/crypto.hpp"
@@ -53,6 +57,32 @@ pe::Image random_image(std::uint64_t seed) {
   return builder.build();
 }
 
+/// A spread of proper prefixes of `bytes`, not just off-by-ones.
+std::vector<common::Bytes> truncations(const common::Bytes& bytes) {
+  std::vector<common::Bytes> out;
+  for (std::size_t cut = 0; cut < bytes.size();
+       cut += std::max<std::size_t>(1, bytes.size() / 37)) {
+    out.push_back(bytes.substr(0, cut));
+  }
+  return out;
+}
+
+/// 32 copies of `bytes`, each with one byte XORed by a nonzero mask.
+std::vector<common::Bytes> bit_flips(const common::Bytes& bytes,
+                                     std::uint64_t seed) {
+  sim::Rng rng(seed ^ 0xf11b);
+  std::vector<common::Bytes> out;
+  for (int flips = 0; flips < 32; ++flips) {
+    auto mutated = bytes;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    mutated[pos] = static_cast<char>(mutated[pos] ^
+                                     static_cast<char>(rng.uniform_int(1, 255)));
+    out.push_back(std::move(mutated));
+  }
+  return out;
+}
+
 class PeRoundTripSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PeRoundTripSweep, SerializeParseIsIdentity) {
@@ -67,25 +97,17 @@ TEST_P(PeRoundTripSweep, SerializeParseIsIdentity) {
 
 TEST_P(PeRoundTripSweep, EveryTruncationRejectsCleanly) {
   const auto bytes = random_image(GetParam()).serialize();
-  // Probe a spread of prefixes, not just off-by-ones.
-  for (std::size_t cut = 0; cut < bytes.size();
-       cut += std::max<std::size_t>(1, bytes.size() / 37)) {
-    EXPECT_THROW(pe::Image::parse(bytes.substr(0, cut)), pe::ParseError)
-        << "prefix " << cut << " of " << bytes.size();
+  for (const auto& prefix : truncations(bytes)) {
+    EXPECT_THROW(pe::Image::parse(prefix), pe::ParseError)
+        << "prefix " << prefix.size() << " of " << bytes.size();
   }
 }
 
 TEST_P(PeRoundTripSweep, BitFlipsNeverCrashParserOrDissector) {
-  auto bytes = random_image(GetParam()).serialize();
-  sim::Rng rng(GetParam() ^ 0xf11b);
   pki::CertStore store;
   pki::TrustStore trust;
-  for (int flips = 0; flips < 32; ++flips) {
-    auto mutated = bytes;
-    const auto pos = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
-    mutated[pos] = static_cast<char>(mutated[pos] ^
-                                     static_cast<char>(rng.uniform_int(1, 255)));
+  for (const auto& mutated :
+       bit_flips(random_image(GetParam()).serialize(), GetParam())) {
     // Either parses (mutation hit a payload byte) or throws ParseError;
     // the static dissector must absorb both outcomes.
     try {
@@ -95,6 +117,31 @@ TEST_P(PeRoundTripSweep, BitFlipsNeverCrashParserOrDissector) {
     const auto report = analysis::dissect(mutated, store, trust, 0);
     (void)report;  // must simply not crash
   }
+}
+
+TEST_P(PeRoundTripSweep, PileCarveOfHostileBytesMatchesSerialExtraction) {
+  // The bit-flipped and truncated specimens above, as one pile: the
+  // parallel carve of extract_pile must intern exactly what a serial
+  // extract_features loop does, specimen by specimen.
+  const auto bytes = random_image(GetParam()).serialize();
+  std::vector<analysis::LabelledSpecimen> pile;
+  for (auto& b : bit_flips(bytes, GetParam())) {
+    pile.push_back({"flip", std::move(b)});
+  }
+  for (auto& b : truncations(bytes)) pile.push_back({"cut", std::move(b)});
+  pile.push_back({"intact", bytes});
+  analysis::FeatureDict serial_dict;
+  analysis::FeatureDict pooled_dict;
+  const auto pooled = analysis::extract_pile(pile, pooled_dict);
+  ASSERT_EQ(pooled.size(), pile.size());
+  for (std::size_t i = 0; i < pile.size(); ++i) {
+    const auto serial = analysis::extract_features(pile[i].bytes, serial_dict);
+    EXPECT_EQ(pooled[i].strings, serial.strings) << pile[i].label << " " << i;
+    EXPECT_EQ(pooled[i].imports, serial.imports) << pile[i].label << " " << i;
+    EXPECT_EQ(pooled[i].section_names, serial.section_names)
+        << pile[i].label << " " << i;
+  }
+  EXPECT_EQ(pooled_dict.size(), serial_dict.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PeRoundTripSweep,

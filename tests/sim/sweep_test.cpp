@@ -14,6 +14,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -174,6 +175,51 @@ TEST(SweepTest, ManyWorkersOnTinySweep) {
   std::vector<std::atomic<int>> hits(3);
   runner.run_indexed(3, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(SweepTest, NestedRunIndexedRunsInline) {
+  // Every outer task sweeps again on the same two-worker runner. The pool
+  // is busy with the outer sweep, so the inner calls must run inline, in
+  // index order, on the task's own thread instead of waiting on the pool.
+  SweepRunner runner(SweepOptions{.workers = 2});
+  std::vector<std::vector<std::size_t>> inner_order(8);
+  runner.run_indexed(8, [&](std::size_t outer) {
+    const auto thread = std::this_thread::get_id();
+    runner.run_indexed(4, [&](std::size_t inner) {
+      EXPECT_EQ(std::this_thread::get_id(), thread);
+      inner_order[outer].push_back(inner);
+    });
+  });
+  for (const auto& order : inner_order) {
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  }
+
+  // A nested map returns its own results and leaves last_stats() to the
+  // outer sweep.
+  const auto sums = runner.map(6, 3, [&](const SweepRun& run) {
+    const auto inner = runner.map(
+        run.index + 1, 0, [](const SweepRun& r) { return r.index; });
+    return std::accumulate(inner.begin(), inner.end(), std::size_t{0});
+  });
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    EXPECT_EQ(sums[i], i * (i + 1) / 2);
+  }
+  ASSERT_EQ(runner.last_stats().runs.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(runner.last_stats().runs[i].seed, derive_seed(3, i));
+  }
+
+  // An inline sweep still runs every index and rethrows the first error.
+  std::vector<int> hits(5, 0);
+  EXPECT_THROW(runner.run_indexed(1,
+                                  [&](std::size_t) {
+                                    runner.run_indexed(5, [&](std::size_t i) {
+                                      ++hits[i];
+                                      if (i == 1) throw std::runtime_error("x");
+                                    });
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(hits, (std::vector<int>(5, 1)));
 }
 
 TEST(SweepTest, SweepHelpersUseDefaultRunner) {
