@@ -38,16 +38,11 @@ std::vector<AvPatternSignature> SignatureFeed::patterns_available_at(
 
 AvProduct& AvProduct::install(winsys::Host& host, SignatureFeed& feed,
                               AvOptions options) {
-  auto product = std::make_shared<AvProduct>(host, feed, options);
-  AvProduct* raw = product.get();
-  host.attach_component(kComponentKey, std::move(product));
-  raw->wire_hooks();
-  raw->update_signatures();
-  return *raw;
-}
-
-AvProduct* AvProduct::find(winsys::Host& host) {
-  return host.component<AvProduct>(kComponentKey);
+  AvProduct& product =
+      host.attach(std::make_unique<AvProduct>(host, feed, options));
+  product.wire_hooks();
+  product.update_signatures();
+  return product;
 }
 
 void AvProduct::wire_hooks() {

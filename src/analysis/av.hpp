@@ -83,12 +83,14 @@ struct AvOptions {
 
 class AvProduct : public winsys::HostComponent {
  public:
-  static constexpr const char* kComponentKey = "av";
+  static constexpr auto kSlot = winsys::ComponentSlot::kAv;
 
   /// Installs the product on a host and wires its hooks.
   static AvProduct& install(winsys::Host& host, SignatureFeed& feed,
                             AvOptions options = {});
-  static AvProduct* find(winsys::Host& host);
+  static AvProduct* find(winsys::Host& host) {
+    return host.component<AvProduct>();
+  }
 
   AvProduct(winsys::Host& host, SignatureFeed& feed, AvOptions options)
       : host_(host), feed_(feed), options_(options) {}

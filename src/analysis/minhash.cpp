@@ -38,11 +38,18 @@ void fold_class(const std::vector<FeatureId>& ids, std::uint64_t tag,
   }
 }
 
-/// The fixed per-row seed schedule for `params`.
-std::vector<std::uint64_t> row_seeds(const MinHashParams& params) {
-  std::vector<std::uint64_t> seeds(params.hashes());
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    seeds[k] = sim::derive_seed(params.seed, k);
+/// The fixed per-row seed schedule for `params`. Each thread keeps the
+/// last schedule it built and rebuilds only when (seed, hashes()) changes,
+/// so a pile sketched under one params value builds it once per worker.
+const std::vector<std::uint64_t>& row_seeds(const MinHashParams& params) {
+  thread_local std::uint64_t seed = 0;
+  thread_local std::vector<std::uint64_t> seeds;
+  if (seed != params.seed || seeds.size() != params.hashes()) {
+    seed = params.seed;
+    seeds.resize(params.hashes());
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      seeds[k] = sim::derive_seed(seed, k);
+    }
   }
   return seeds;
 }
@@ -108,7 +115,7 @@ std::vector<CandidatePair> band_pairs(
 
 MinHashSketch minhash_sketch(const SpecimenFeatures& features,
                              const MinHashParams& params) {
-  const auto seeds = row_seeds(params);
+  const auto& seeds = row_seeds(params);
   MinHashSketch sketch;
   sketch.sig.assign(params.hashes(), kEmptySketchSlot);
   fold_class(features.strings, kStringTag, seeds, sketch.sig);

@@ -30,8 +30,6 @@ winsys::Path Step7App::dll_path() {
 }
 
 Step7App& Step7App::install(winsys::Host& host, S7ProxyRegistry& registry) {
-  auto app = std::make_shared<Step7App>(host, registry);
-  Step7App* raw = app.get();
   // Ship the genuine communication library.
   const auto dll = pe::Builder{}
                        .program(S7ProxyRegistry::kOriginalDllProgram)
@@ -41,13 +39,9 @@ Step7App& Step7App::install(winsys::Host& host, S7ProxyRegistry& registry) {
                        .build();
   host.fs().write_file(dll_path(), dll.serialize(), host.simulation().now());
   host.fs().mkdirs(winsys::Path("c:\\projects"));
-  host.attach_component(kComponentKey, std::move(app));
+  Step7App& app = host.attach(std::make_unique<Step7App>(host, registry));
   host.trace(sim::TraceCategory::kScada, "step7.install", dll_path().str());
-  return *raw;
-}
-
-Step7App* Step7App::find(winsys::Host& host) {
-  return host.component<Step7App>(kComponentKey);
+  return app;
 }
 
 winsys::Path Step7App::create_project(const std::string& project_name) {

@@ -74,14 +74,17 @@ class S7ProxyRegistry {
 /// The engineering application installed on a Windows host.
 class Step7App : public winsys::HostComponent {
  public:
-  static constexpr const char* kComponentKey = "step7";
+  static constexpr auto kSlot = winsys::ComponentSlot::kStep7;
   /// Where the communication DLL lives.
   static winsys::Path dll_path();
 
   /// Installs Step 7 on `host`: writes the genuine s7otbxdx.dll into
-  /// %system% and attaches the app as a host component.
+  /// %system% and stores the app in the host's Step 7 slot, replacing any
+  /// earlier install.
   static Step7App& install(winsys::Host& host, S7ProxyRegistry& registry);
-  static Step7App* find(winsys::Host& host);
+  static Step7App* find(winsys::Host& host) {
+    return host.component<Step7App>();
+  }
 
   Step7App(winsys::Host& host, S7ProxyRegistry& registry)
       : host_(host), registry_(registry) {}

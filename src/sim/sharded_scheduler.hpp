@@ -196,7 +196,7 @@ class ShardedScheduler {
   Duration lookahead_ = ShardPlan::kUnbounded;
   std::map<std::uint64_t, Duration> channel_latency_;  // (from<<32|to) -> min
   std::vector<std::unique_ptr<ShardState>> states_;
-  std::unique_ptr<SweepRunner> runner_;  // built on first sharded run
+  std::unique_ptr<SweepRunner> runner_;  // kSharded only; built by the ctor
   bool running_ = false;
   std::uint32_t serial_current_ = kNoShard;  // kSingleQueue: executing shard
   std::size_t rounds_ = 0;

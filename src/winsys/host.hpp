@@ -8,6 +8,7 @@
 // bluetooth adapter. It is the unit of infection, the unit of wiping, and
 // the surface the analysis sandbox instruments.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -60,8 +61,16 @@ struct EventLogEntry {
   std::string message;
 };
 
-/// Extension point: subsystems (AV products, malware infections, Step 7
-/// installs) attach state to a host under a string key.
+/// The kinds of per-host state a Host carries: the AV product, the Step 7
+/// install, and one infection per malware family. A host holds at most one
+/// component of each kind, so one victim can carry several families at once.
+enum class ComponentSlot : std::uint8_t {
+  kAv, kStep7, kStuxnet, kDuqu, kFlame, kGauss, kShamoon
+};
+
+/// Base of all per-host state. Each concrete type declares
+/// `static constexpr ComponentSlot kSlot`, which picks its slot on the host
+/// (see Host::component / Host::attach); no two types share a slot.
 class HostComponent {
  public:
   virtual ~HostComponent() = default;
@@ -116,7 +125,6 @@ class Host {
   const pki::TrustStore& trust_store() const { return trust_; }
 
   static Path system_dir() { return Path("c:\\windows\\system32"); }
-  static Path windows_dir() { return Path("c:\\windows"); }
 
   // --- vulnerability surface ---
   void make_vulnerable(exploits::VulnId v) { vulns_.insert(v); }
@@ -162,13 +170,11 @@ class Host {
   bool has_capability(DriverCapability cap) const;
   const std::vector<LoadedDriver>& loaded_drivers() const { return drivers_; }
 
-  /// Raw MBR / partition / sector writes: require a loaded driver granting
+  /// Raw MBR / partition writes: require a loaded driver granting
   /// kCapRawDiskAccess (Shamoon's Eldos trick); return false otherwise.
   bool raw_overwrite_mbr(common::Bytes data, const std::string& actor);
   bool raw_overwrite_active_partition(common::Bytes data,
                                       const std::string& actor);
-  bool raw_write_sector(std::uint64_t lba, common::Bytes data,
-                        const std::string& actor);
 
   // --- rootkit file hiding ---
   /// Predicate returning true for paths to hide from directory listings;
@@ -226,20 +232,19 @@ class Host {
   const net::Stack* stack() const { return stack_; }
 
   // --- components ---
-  void attach_component(const std::string& key,
-                        std::shared_ptr<HostComponent> component) {
-    components_[key] = std::move(component);
+  /// The host's component of type T, or nullptr when none is attached.
+  /// Only a T is ever stored in T's slot (attach), so the cast is exact.
+  template <class T>
+  T* component() {
+    return static_cast<T*>(slot(T::kSlot).get());
   }
-  template <typename T>
-  T* component(std::string_view key) {
-    auto it = components_.find(key);
-    return it == components_.end() ? nullptr
-                                   : dynamic_cast<T*>(it->second.get());
+  /// Stores `component` in T's slot, destroying any previous occupant.
+  template <class T>
+  T& attach(std::unique_ptr<T> component) {
+    T& stored = *component;
+    slot(T::kSlot) = std::move(component);
+    return stored;
   }
-  bool has_component(const std::string& key) const {
-    return components_.contains(key);
-  }
-  void detach_component(const std::string& key) { components_.erase(key); }
 
   // --- event log & tracing ---
   /// Appends to the bounded event log. When the cap is reached the older
@@ -266,6 +271,10 @@ class Host {
              std::string_view detail = {});
 
  private:
+  std::unique_ptr<HostComponent>& slot(ComponentSlot kind) {
+    return components_[static_cast<std::size_t>(kind)];
+  }
+
   void run_autoplay(UsbDrive& drive);
 
   sim::Simulation& sim_;
@@ -299,7 +308,9 @@ class Host {
   Bluetooth bluetooth_;
   net::Stack* stack_ = nullptr;
 
-  std::map<std::string, std::shared_ptr<HostComponent>, std::less<>>
+  // One slot per ComponentSlot kind; kShamoon is the last.
+  std::array<std::unique_ptr<HostComponent>,
+             static_cast<std::size_t>(ComponentSlot::kShamoon) + 1>
       components_;
   std::vector<EventLogEntry> event_log_;
   std::size_t event_log_cap_ = 4096;

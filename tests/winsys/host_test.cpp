@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "malware/gauss/gauss.hpp"
+#include "malware/shamoon/shamoon.hpp"
 #include "pki/signing.hpp"
 #include "winsys/usb.hpp"
 
@@ -403,17 +405,32 @@ TEST_F(HostTest, ClearEventLogResetsDropCounter) {
   EXPECT_EQ(host_.event_log_dropped(), 0u);
 }
 
-TEST_F(HostTest, ComponentAttachAndRetrieve) {
-  struct Marker : HostComponent {
-    int value = 7;
+TEST_F(HostTest, ComponentSlotHoldsOnlyTheLatestAttach) {
+  using malware::gauss::GaussInfection;
+  using malware::shamoon::ShamoonInfection;
+  // Shares ShamoonInfection's slot; reports when the host destroys it.
+  struct Probe : ShamoonInfection {
+    Probe(Host& host, bool& destroyed)
+        : ShamoonInfection(host, "first"), destroyed_(destroyed) {}
+    ~Probe() override { destroyed_ = true; }
+    bool& destroyed_;
   };
-  host_.attach_component("marker", std::make_shared<Marker>());
-  auto* marker = host_.component<Marker>("marker");
-  ASSERT_NE(marker, nullptr);
-  EXPECT_EQ(marker->value, 7);
-  EXPECT_EQ(host_.component<Marker>("missing"), nullptr);
-  host_.detach_component("marker");
-  EXPECT_FALSE(host_.has_component("marker"));
+  EXPECT_EQ(host_.component<ShamoonInfection>(), nullptr);
+
+  bool first_destroyed = false;
+  Probe& first = host_.attach(std::make_unique<Probe>(host_, first_destroyed));
+  EXPECT_EQ(host_.component<ShamoonInfection>(), &first);
+  EXPECT_EQ(host_.component<ShamoonInfection>()->vector(), "first");
+  EXPECT_EQ(host_.component<GaussInfection>(), nullptr);  // other kinds empty
+
+  GaussInfection& gauss =
+      host_.attach(std::make_unique<GaussInfection>(host_, "usb"));
+  ShamoonInfection& second =
+      host_.attach(std::make_unique<ShamoonInfection>(host_, "second"));
+  EXPECT_TRUE(first_destroyed);
+  ASSERT_EQ(host_.component<ShamoonInfection>(), &second);
+  EXPECT_EQ(host_.component<ShamoonInfection>()->vector(), "second");
+  EXPECT_EQ(host_.component<GaussInfection>(), &gauss);
 }
 
 TEST_F(HostTest, VulnerabilityPatching) {
