@@ -12,10 +12,10 @@
 // Four passes:
 //  (1) identity — the refactor contract. A fully-materialized twin and an
 //      image-backed twin are pushed through the same mutation script and
-//      must expose byte-identical state; then every existing fig/trend/
-//      ablation/attribution repro output is re-run and checksummed against
-//      the retained seed baselines (FNV-1a over the report bytes). Fatal on
-//      any divergence: COW is an implementation detail, not a behaviour.
+//      must expose byte-identical state. Fatal on any divergence: COW is an
+//      implementation detail, not a behaviour. (The byte identity of every
+//      fig/trend/ablation/attribution repro output against its golden
+//      checksum is the tier-1 `ReproIdentity/*` ctest suite.)
 //  (2) trend-b shape at 1:1 — mass vs targeted posture over a 128-site,
 //      102,400-host world (paper §V-B). The mass posture saturates ~100k
 //      hosts and gets burned by the AV ecosystem; the targeted posture keeps
@@ -30,14 +30,12 @@
 // The BM_* cases export `hosts_per_sec`, `heap_per_host` and `cow_ratio`;
 // CI gates hosts_per_sec as a --floor and heap_per_host as a --ceiling.
 //
-// Pass --mega for the 10⁶-host world (1,250 sites), --print-checksums to
-// re-emit the identity table after an intentional output change.
+// Pass --mega for the 10⁶-host world (1,250 sites).
 
 #include "alloc_hook.hpp"
 #include "bench_util.hpp"
 #include "core/user_behavior.hpp"
 #include "malware/stuxnet/stuxnet.hpp"
-#include "repro_checksums.hpp"
 #include "winsys/host_image.hpp"
 
 #include <cmath>
@@ -71,11 +69,12 @@ std::size_t proc_status_kb(const char* key) {
 }
 
 // ---------------------------------------------------------------------------
-// Identity pass 1/2: a materialized twin and an image-backed twin must stay
+// Identity pass: a materialized twin and an image-backed twin must stay
 // indistinguishable through writes, overwrites, deletes, renames and
 // registry edits.
 
 void check_twin_equivalence() {
+  benchutil::section("identity: COW substrate vs materialized semantics");
   sim::Simulation simulation;
   winsys::ProgramRegistry programs;
   const auto archetype = winsys::HostArchetype::kOfficePc;
@@ -133,49 +132,6 @@ void check_twin_equivalence() {
               "script:\n%zu files byte-identical, registry hives equal, "
               "%zu tombstone(s) equal\n",
               cow_files.size(), cow_tombs.size());
-}
-
-// ---------------------------------------------------------------------------
-// Identity pass 2/2: every retained repro output, re-run and checksummed
-// against the golden table in repro_checksums.hpp.
-
-void reproduce_identity(const std::string& exe_dir, bool print_checksums) {
-  benchutil::section("identity: COW substrate vs materialized semantics");
-  check_twin_equivalence();
-
-  benchutil::section(
-      "identity: retained repro outputs, re-run and checksummed");
-  std::printf("%-28s %-10s %-18s %s\n", "bench", "bytes", "fnv1a-64",
-              "verdict");
-  std::size_t mismatches = 0;
-  for (const auto& expected : repro::kSeedChecksums) {
-    const std::string raw = repro::run_sibling(exe_dir, expected.bench);
-    if (raw.empty()) {
-      fatal("could not run %s/%s (build all bench targets first)",
-            exe_dir.c_str(), expected.bench);
-    }
-    const std::string report = repro::strip_timing_lines(raw);
-    const std::uint64_t got = repro::fnv1a64(report);
-    if (print_checksums) {
-      std::printf("    {\"%s\", 0x%016llxULL},\n", expected.bench,
-                  static_cast<unsigned long long>(got));
-      continue;
-    }
-    const bool match = got == expected.fnv64;
-    if (!match) ++mismatches;
-    std::printf("%-28s %-10zu 0x%016llx %s\n", expected.bench, report.size(),
-                static_cast<unsigned long long>(got),
-                match ? "identical" : "DIVERGED");
-  }
-  if (print_checksums) return;
-  if (mismatches > 0) {
-    fatal("%zu repro output(s) diverged from the seed baselines — the COW "
-          "substrate must be bit-transparent",
-          mismatches);
-  }
-  std::printf("\nall %zu retained fig/trend/ablation/attribution outputs are "
-              "byte-identical through the image/COW refactor.\n",
-              std::size(repro::kSeedChecksums));
 }
 
 // ---------------------------------------------------------------------------
@@ -698,16 +654,8 @@ int main(int argc, char** argv) {
       "EPIDEMIC-SCALING: template images + COW deltas at campaign scale",
       "§II / §V-B / §V-E at 1:1 — ~100k infections, the 9,020-centrifuge "
       "Natanz hall");
-  const std::string exe(argv[0]);
-  const auto slash = exe.rfind('/');
-  const std::string exe_dir =
-      slash == std::string::npos ? std::string(".") : exe.substr(0, slash);
-  if (benchutil::has_flag(argc, argv, "--print-checksums")) {
-    reproduce_identity(exe_dir, /*print_checksums=*/true);
-    return 0;
-  }
   if (!benchutil::has_flag(argc, argv, "--no-repro")) {
-    reproduce_identity(exe_dir, /*print_checksums=*/false);
+    check_twin_equivalence();
     reproduce_trend_b_at_scale();
     reproduce_trend_e_at_scale();
     reproduce_memory();

@@ -3,11 +3,10 @@
 //
 // Each value is FNV-1a 64 over a bench binary's full repro output
 // (stdout+stderr of `<bench> --benchmark_filter=NONEXISTENT`, with the sweep
-// harness's wall-clock lines dropped). Two checkers read this one table: the
-// `ReproIdentity/*` ctest cases (tests/repro/repro_identity_test.cpp, one
-// case per binary) and epidemic_scaling's identity pass, whose
-// --print-checksums flag re-emits the table after an *intentional* output
-// change.
+// harness's wall-clock lines dropped). The `ReproIdentity/*` ctest cases
+// (tests/repro/repro_identity_test.cpp, one case per binary) check every
+// entry; a failing case prints the measured hex, which is the new value to
+// commit after an *intentional* output change.
 
 #include <cstdint>
 #include <cstdio>

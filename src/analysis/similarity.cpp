@@ -196,14 +196,6 @@ double jaccard(const std::vector<FeatureId>& a,
 
 }  // namespace
 
-FeatureId FeatureDict::intern(std::string_view s) {
-  if (const auto it = ids_.find(s); it != ids_.end()) return it->second;
-  const FeatureId id = features_.size();
-  features_.emplace_back(s);
-  ids_.emplace(features_.back(), id);
-  return id;
-}
-
 std::vector<SpecimenFeatures> extract_pile(
     const std::vector<LabelledSpecimen>& specimens, FeatureDict& dict) {
   const std::size_t n = specimens.size();

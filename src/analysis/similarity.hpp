@@ -9,8 +9,8 @@
 // carved resources) and score their overlap, then cluster a specimen pile
 // into families-of-origin by the same measure.
 //
-// Features are interned: a FeatureDict maps each distinct feature string to
-// a dense 64-bit id (the sim::StringPool pattern), and a SpecimenFeatures
+// Features are interned: a FeatureDict (a sim::StringPool) maps each
+// distinct feature string to a dense id, and a SpecimenFeatures
 // holds three sorted id vectors instead of three std::set<std::string>.
 // Scoring then reduces to linear merge-intersections over sorted integer
 // spans — no per-element tree walks, no string compares — and the pairwise
@@ -20,57 +20,27 @@
 // keeps that kernel and asserts the identity.
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "sim/string_pool.hpp"
 
 namespace cyd::analysis {
 
 /// Dense id of one interned feature string. Ids are assigned in first-seen
 /// order, so extraction order determines them deterministically; similarity
 /// only ever compares ids for equality, so scores do not depend on the
-/// assignment at all.
+/// assignment at all. Stored 64-bit (a widened sim::StringId) because the
+/// MinHash stage keys features as (id << 2) | tag.
 using FeatureId = std::uint64_t;
 
 /// Deduplicating feature intern table shared by every specimen in one
 /// analysis (ids from different dicts are not comparable). Not thread-safe:
 /// extract_pile carves specimens on the sweep pool but interns their
 /// features on one thread, in specimen order.
-class FeatureDict {
- public:
-  /// Id for `s`, interning on first sight. Amortised O(1); allocates only
-  /// the first time a distinct feature appears.
-  FeatureId intern(std::string_view s);
-
-  /// Pre-sizes the id table for `expected` distinct features so the
-  /// in-order intern stage of a large pile does not pay rehash churn. A
-  /// hint, not a cap: interning past it just grows as usual.
-  void reserve(std::size_t expected) { ids_.reserve(expected); }
-
-  /// The string behind an id. Views stay valid for the dict's lifetime
-  /// (entries live in a deque, later interning never moves them).
-  std::string_view view(FeatureId id) const {
-    return features_[static_cast<std::size_t>(id)];
-  }
-
-  std::size_t size() const { return features_.size(); }
-  bool empty() const { return features_.empty(); }
-
- private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::deque<std::string> features_;  // id -> string, stable addresses
-  std::unordered_map<std::string, FeatureId, Hash, std::equal_to<>> ids_;
-};
+using FeatureDict = sim::StringPool;
 
 /// Comparable feature set of one specimen: three sorted, deduplicated
 /// vectors of ids from one shared FeatureDict.

@@ -84,19 +84,6 @@ net::HttpResponse CncServer::handle(const net::HttpRequest& request) {
   return response;
 }
 
-std::vector<net::HttpResponse> CncServer::handle_batch(
-    std::span<const net::HttpRequest> requests) {
-  const sim::TimePoint now = sim_.now();
-  std::vector<net::HttpResponse> responses;
-  responses.reserve(requests.size());
-  for (const net::HttpRequest& request : requests) {
-    RequestEngine::Outcome outcome;
-    responses.push_back(engine_.handle(request, now, &outcome));
-    trace_outcome(outcome);
-  }
-  return responses;
-}
-
 void CncServer::push_ad(const std::string& client_id, Payload payload) {
   sim_.log(sim::TraceCategory::kCnc, server_id_, "cnc.push-ad",
            client_id + " " + payload.name);

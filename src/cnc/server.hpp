@@ -20,7 +20,6 @@
 // dumps are byte-identical to the seed's eager row-per-beacon updates.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -59,11 +58,6 @@ class CncServer {
 
   // --- protocol entry point (also callable directly in tests) ---
   net::HttpResponse handle(const net::HttpRequest& request);
-  /// Batched entry point for beacon storms: all requests handled at the
-  /// current simulated time, responses in request order. Equivalent to
-  /// calling handle() per request.
-  std::vector<net::HttpResponse> handle_batch(
-      std::span<const net::HttpRequest> requests);
 
   // --- attack-center side (out-of-band management channel) ---
   void push_ad(const std::string& client_id, Payload payload);

@@ -17,10 +17,10 @@
 //    place — no per-event relocation — and EventHandle is a
 //    trivially-copyable {queue, slot, generation} triple, not a
 //    shared_ptr<bool> control block;
-//  - the pending set is a 4-ary min-heap over compact 16-byte
+//  - the pending set is a plain 4-ary min-heap over compact 16-byte
 //    {time, seq|slot} keys — sift operations move 16 bytes, payloads never
-//    move — with the slot's heap index maintained so cancel_now() can do an
-//    eager O(log n) removal next to the default lazy cancellation. It is
+//    move, and no slot records where its key sits. Cancellation is lazy
+//    only: cancel() marks the slot and the pop path discards the key. It is
 //    the only pending set: a calendar wheel won only a synthetic
 //    dense-periodic microbench and cost memory on real runs (DESIGN §11).
 
@@ -103,12 +103,6 @@ class EventQueue {
   /// an inline-sized closure performs zero heap allocations.
   EventHandle schedule_every(Duration period, EventFn fn, TimePoint first);
 
-  /// Eagerly removes a pending event from the heap, O(log n), freeing its
-  /// slot immediately. Equivalent to handle.cancel() (which marks the entry
-  /// and lets the pop path discard it) but reclaims slab+heap space now —
-  /// use it when cancelling large batches long before their due time.
-  void cancel_now(EventHandle handle);
-
   TimePoint now() const { return now_; }
   bool empty() const { return live_ == 0; }
   /// Number of live (non-cancelled) scheduled events.
@@ -147,12 +141,10 @@ class EventQueue {
   std::size_t run_until(TimePoint deadline);
 
   /// Outcome of run_all(): how many events ran, and whether the drain was
-  /// cut off by `max_events` with runnable work still pending. Converts to
-  /// the executed count so arithmetic callers keep working.
+  /// cut off by `max_events` with runnable work still pending.
   struct DrainResult {
     std::size_t executed = 0;
     bool truncated = false;
-    operator std::size_t() const { return executed; }
   };
 
   /// Drains the queue completely (use with care: periodic events never end).
@@ -165,8 +157,8 @@ class EventQueue {
   /// re-arms; `executed` counts closures actually run; `cancelled` counts
   /// effective cancellations (one per event or series, not per cancel()
   /// call); `peak_pending` is the high-water mark of live events;
-  /// `pruned` counts lazy-cancel tombstones discarded off the front (each
-  /// one is pop work that cancel_now would have avoided).
+  /// `pruned` counts cancelled tombstones discarded off the front (each
+  /// one is pop work that ran no closure).
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
@@ -203,10 +195,10 @@ class EventQueue {
   struct Slot {
     Duration period = 0;  // >0 marks a periodic series
     std::uint32_t generation = 0;
-    std::uint32_t heap_index = kNullIndex;  // kNullIndex while firing / free
     std::uint32_t next_free = kNullIndex;
     std::uint32_t tag = 0;  // opaque caller word, echoed to the observer
     bool cancelled = false;
+    bool firing = false;  // periodic callback running; already out of live_
     EventFn fn;
   };
 
@@ -232,7 +224,6 @@ class EventQueue {
 
   void sift_up(std::size_t index, HeapKey key);
   void sift_down(std::size_t index, HeapKey key);
-  void remove_heap_index(std::size_t index);
   void pop_front();
 
   /// Pops the front key and runs or discards it: returns 1 when the event

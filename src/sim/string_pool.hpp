@@ -6,7 +6,8 @@
 // tests compress to integer compares. Ids are assigned in first-seen order,
 // which keeps interning deterministic: two logs fed the same record
 // sequence produce the same ids (and therefore byte-identical event
-// vectors — the determinism tests rely on this).
+// vectors — the determinism tests rely on this). The attribution toolkit
+// interns its specimen features in the same table (analysis::FeatureDict).
 
 #include <cstdint>
 #include <deque>
@@ -34,6 +35,11 @@ class StringPool {
   /// Id of an already-interned string; kNoString when absent. Never
   /// allocates (heterogeneous lookup).
   StringId find(std::string_view s) const;
+
+  /// Pre-sizes the id table for `expected` distinct strings so a large
+  /// intern burst does not pay rehash churn. A hint, not a cap: interning
+  /// past it just grows as usual.
+  void reserve(std::size_t expected) { ids_.reserve(expected); }
 
   /// The string behind an id. Views stay valid until clear(): entries live
   /// in a deque, so later interning never moves them.

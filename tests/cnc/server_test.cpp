@@ -433,39 +433,6 @@ TEST_F(CncServerTest, AccessLogBoundedByHalvingRetention) {
   EXPECT_TRUE(server_.logs_wiped());
 }
 
-TEST_F(CncServerTest, HandleBatchMatchesPerRequestLoop) {
-  std::vector<net::HttpRequest> requests;
-  server_.push_news({"mod-1", "bytes"});
-  for (int i = 0; i < 20; ++i) {
-    requests.push_back(get_news("c-" + std::to_string(i % 7)));
-    if (i % 3 == 0) {
-      requests.push_back(
-          add_entry("c-" + std::to_string(i % 7), "f" + std::to_string(i),
-                    "loot"));
-    }
-    if (i % 5 == 0) requests.push_back(net::HttpRequest{});  // 404s
-  }
-
-  // A twin server handles the same stream one request at a time.
-  sim::Simulation twin_sim;
-  AttackCenter twin_center(twin_sim, 0xabc);
-  CncServer twin(twin_sim, "cc-0", {"trafficspot.com"},
-                 twin_center.upload_key());
-  twin.push_news({"mod-1", "bytes"});
-
-  const auto batched = server_.handle_batch(requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto single = twin.handle(requests[i]);
-    EXPECT_EQ(batched[i].status, single.status) << i;
-    EXPECT_EQ(batched[i].body, single.body) << i;
-  }
-  EXPECT_EQ(server_.engine().response_chain(),
-            twin.engine().response_chain());
-  EXPECT_EQ(server_.engine().state_checksum(),
-            twin.engine().state_checksum());
-}
-
 TEST_F(CncServerTest, WriteBehindRowsKeepFirstContactOrder) {
   // An ad queued for a client that has not phoned home yet must not create a
   // row (or claim an early row id): rows appear in first-contact order, like

@@ -77,21 +77,21 @@ TEST(EventQueueAllocTest, OneShotSteadyStateReusesSlabAndHeap) {
 
 TEST(EventQueueAllocTest, CancellationSteadyStateAllocatesNothing) {
   EventQueue q;
-  // Warm-up including the cancel paths (lazy and eager).
+  // Warm-up including both cancel shapes: a one-shot and a periodic series.
   for (int i = 0; i < 32; ++i) {
-    auto lazy = q.schedule_at(q.now() + 5, [] {});
-    auto eager = q.schedule_at(q.now() + 6, [] {});
-    lazy.cancel();
-    q.cancel_now(eager);
+    auto once = q.schedule_at(q.now() + 5, [] {});
+    auto series = q.schedule_every(6, [] {}, q.now() + 6);
+    once.cancel();
+    series.cancel();
   }
   q.run_all();
 
   [[maybe_unused]] const std::size_t before = allocation_count();
   for (int round = 0; round < 100; ++round) {
-    auto lazy = q.schedule_at(q.now() + 5, [] {});
-    auto eager = q.schedule_at(q.now() + 6, [] {});
-    lazy.cancel();
-    q.cancel_now(eager);
+    auto once = q.schedule_at(q.now() + 5, [] {});
+    auto series = q.schedule_every(6, [] {}, q.now() + 6);
+    once.cancel();
+    series.cancel();
     q.run_all();
   }
   [[maybe_unused]] const std::size_t after = allocation_count();

@@ -182,23 +182,6 @@ TEST(EventQueueTest, CancelPeriodicBetweenFirings) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueueTest, CancelNowReclaimsEagerly) {
-  EventQueue q;
-  int fired = 0;
-  for (int i = 0; i < 8; ++i) q.schedule_at(10 * (i + 1), [&] { ++fired; });
-  auto doomed = q.schedule_at(5, [&] { ++fired; });
-  auto series = q.schedule_every(7, [&] { ++fired; }, 7);
-  EXPECT_EQ(q.pending(), 10u);
-  q.cancel_now(doomed);
-  q.cancel_now(series);
-  EXPECT_EQ(q.pending(), 8u);
-  EXPECT_FALSE(doomed.pending());
-  // Eagerly removed entries are gone from the heap, not lazily skipped.
-  EXPECT_EQ(q.run_all().executed, 8u);
-  EXPECT_EQ(fired, 8);
-  EXPECT_EQ(q.stats().cancelled, 2u);
-}
-
 TEST(EventQueueTest, HandleGenerationSurvivesSlabRecycling) {
   EventQueue q;
   bool first_ran = false;
@@ -219,8 +202,12 @@ TEST(EventQueueTest, HandleGenerationSurvivesSlabRecycling) {
 
   // And a recycled periodic slot: cancel through the old series handle must
   // not touch the replacement series occupying the same slot.
+  // Running past the cancelled series' due time discards its tombstone and
+  // frees the slot, so the new series is allocated into it.
   auto old_series = q.schedule_every(5, [] {}, q.now() + 5);
-  q.cancel_now(old_series);
+  old_series.cancel();
+  q.run_until(q.now() + 5);
+  EXPECT_EQ(q.stats().pruned, 1u);
   int ticks = 0;
   auto new_series = q.schedule_every(5, [&] { ++ticks; }, q.now() + 5);
   old_series.cancel();
@@ -308,7 +295,9 @@ TEST(SimulationTest, CancellingPeriodicStopsSeries) {
   auto handle = simulation.every(minutes(10), [&] { ++fires; });
   simulation.run_until(minutes(25));
   EXPECT_EQ(fires, 2);
+  EXPECT_EQ(simulation.queue().pending(), 1u);
   handle.cancel();
+  EXPECT_EQ(simulation.queue().pending(), 0u);
   simulation.run_until(hours(10));
   EXPECT_EQ(fires, 2);
 }
@@ -318,10 +307,15 @@ TEST(SimulationTest, PeriodicCanCancelItselfFromInside) {
   int fires = 0;
   EventHandle handle;
   handle = simulation.every(minutes(1), [&] {
+    // A firing series has already left the live count; cancelling it from
+    // inside must not take it out a second time.
+    EXPECT_EQ(simulation.queue().pending(), 0u);
     if (++fires == 3) handle.cancel();
+    EXPECT_EQ(simulation.queue().pending(), 0u);
   });
   simulation.run_until(hours(1));
   EXPECT_EQ(fires, 3);
+  EXPECT_EQ(simulation.queue().pending(), 0u);
 }
 
 TEST(SimulationTest, CancelledPeriodicStopsReschedulingEntirely) {
@@ -478,36 +472,18 @@ TEST(EventQueueHeapTest, PeriodicSeriesSpansManyWindows) {
   EXPECT_EQ(q.run_all().executed, 0u);
 }
 
-TEST(EventQueueHeapTest, CancelNowReclaimsNearAndFarEntries) {
-  EventQueue q;
-  int fired = 0;
-  auto near = q.schedule_at(100, [&] { ++fired; });
-  auto far = q.schedule_at(50'000, [&] { ++fired; });
-  q.schedule_at(200, [&] { ++fired; });
-  EXPECT_EQ(q.pending(), 3u);
-  q.cancel_now(near);
-  q.cancel_now(far);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.run_all().executed, 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.stats().pruned, 0u);  // eager removal leaves no tombstones
-}
-
 TEST(EventQueueHeapTest, NextTimePrunesTombstonesAndCountsThem) {
   EventQueue q;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 100; ++i) {
     doomed.push_back(q.schedule_at(40 * i, [] {}));
   }
-  auto survivor = q.schedule_at(4500, [] {});
+  q.schedule_at(4500, [] {});
   for (auto& h : doomed) h.cancel();
   // The horizon must skip every tombstone, and each one is counted pop
   // work — a lazy-cancel pileup shows up in stats().pruned, loudly.
   EXPECT_EQ(q.next_time(), 4500);
   EXPECT_EQ(q.stats().pruned, 100u);
-  q.cancel_now(survivor);
-  EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);
-  EXPECT_EQ(q.stats().pruned, 100u);  // cancel_now added no tombstone
 }
 
 TEST(EventQueueHeapTest, OrderStaysMonotoneAfterTombstonePrune) {
@@ -613,9 +589,7 @@ TEST(EventQueueHeapTest, MixedWorkloadStreamMatchesPinnedChecksum) {
   }
   q.run_until(2500);
   for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
-  for (std::size_t i = 1; i < handles.size(); i += 9) {
-    q.cancel_now(handles[i]);
-  }
+  for (std::size_t i = 1; i < handles.size(); i += 9) handles[i].cancel();
   q.run_until(6000);
   for (auto& h : handles) h.cancel();
   q.run_all(/*max_events=*/50'000);
