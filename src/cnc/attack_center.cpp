@@ -27,7 +27,7 @@ void AttackCenter::push_command_to(const std::string& client_id,
 std::size_t AttackCenter::collect() {
   std::size_t archived = 0;
   for (CncServer* server : servers_) {
-    for (Entry& entry : server->take_new_entries()) {
+    for (const Entry& entry : server->take_new_entries()) {
       auto plaintext = decrypt(coordinator_key_, entry.blob);
       if (!plaintext) {
         ++decrypt_failures_;

@@ -1,38 +1,58 @@
 #include "cnc/crypto.hpp"
 
+#include <algorithm>
+
 #include "sim/rng.hpp"
 
 namespace cyd::cnc {
 namespace {
 
-/// Deterministic keystream for a blob. Seeded from the *private* scalar so
-/// that, at the model level, producing the stream requires key possession;
-/// encrypt_for gets the same stream through the wrap value provisioned into
-/// the public half.
-common::Bytes keystream(std::uint64_t seed, std::size_t n) {
+/// XORs `data` with the deterministic keystream for a blob, writing into
+/// the one output buffer. The stream is common::random_bytes over the same
+/// Rng (each next_u64() supplies 8 bytes, low byte first), so the result is
+/// bit-identical to xor_cipher(data, random_bytes(rng, data.size())) without
+/// building the keystream. Seeded from the *private* scalar so that, at the
+/// model level, producing the stream requires key possession; encrypt_for
+/// gets the same stream through the wrap value provisioned into the public
+/// half.
+common::Bytes xor_keystream(std::uint64_t seed, std::string_view data) {
   sim::Rng rng(seed ^ 0xc0dec0dec0dec0deULL);
-  return common::random_bytes(rng, n);
+  common::Bytes out(data);
+  for (std::size_t i = 0; i < out.size(); i += 8) {
+    std::uint64_t v = rng.next_u64();
+    const std::size_t end = std::min(out.size(), i + 8);
+    for (std::size_t j = i; j < end; ++j, v >>= 8) {
+      out[j] = static_cast<char>(static_cast<unsigned char>(out[j]) ^
+                                 static_cast<unsigned char>(v & 0xff));
+    }
+  }
+  return out;
+}
+
+/// FNV-1a of `label` followed by the scalar's little-endian bytes: the
+/// digest of `label + put_u64(scalar)` without building that string.
+std::uint64_t derive(std::string_view label, std::uint64_t scalar) {
+  char le[8];
+  for (int i = 0; i < 8; ++i) {
+    le[i] = static_cast<char>((scalar >> (8 * i)) & 0xff);
+  }
+  return common::fnv1a64(std::string_view(le, sizeof le),
+                         common::fnv1a64(label));
 }
 
 std::uint64_t derive_public(std::uint64_t private_scalar) {
-  common::Bytes material("cnc-pub");
-  common::put_u64(material, private_scalar);
-  return common::fnv1a64(material);
+  return derive("cnc-pub", private_scalar);
 }
 
 std::uint64_t derive_wrap(std::uint64_t private_scalar) {
-  common::Bytes material("cnc-wrap");
-  common::put_u64(material, private_scalar);
-  return common::fnv1a64(material);
+  return derive("cnc-wrap", private_scalar);
 }
 
 }  // namespace
 
 CncKeyPair CncKeyPair::generate(std::uint64_t seed) {
   CncKeyPair key;
-  common::Bytes material("cnc-priv");
-  common::put_u64(material, seed);
-  key.private_scalar = common::fnv1a64(material);
+  key.private_scalar = derive("cnc-priv", seed);
   key.public_id = derive_public(key.private_scalar);
   return key;
 }
@@ -66,17 +86,14 @@ EncryptedBlob encrypt_for(const CncPublicKey& recipient,
                           std::string_view plaintext) {
   EncryptedBlob blob;
   blob.key_id = recipient.public_id;
-  blob.ciphertext = common::xor_cipher(
-      plaintext, keystream(recipient.wrap, plaintext.size()));
+  blob.ciphertext = xor_keystream(recipient.wrap, plaintext);
   return blob;
 }
 
 std::optional<common::Bytes> decrypt(const CncKeyPair& key,
                                      const EncryptedBlob& blob) {
   if (derive_public(key.private_scalar) != blob.key_id) return std::nullopt;
-  return common::xor_cipher(
-      blob.ciphertext,
-      keystream(derive_wrap(key.private_scalar), blob.ciphertext.size()));
+  return xor_keystream(derive_wrap(key.private_scalar), blob.ciphertext);
 }
 
 }  // namespace cyd::cnc

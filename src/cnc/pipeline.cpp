@@ -90,21 +90,20 @@ net::HttpResponse RequestEngine::do_get_news(const DecodedRequest& d,
 
   // Serialize straight into the response body — no intermediate `delivery`
   // vector, no payload copies for the ads. Targeted commands first, each
-  // delivered exactly once, matching the seed's ordering byte for byte.
-  common::Bytes body("PLS1");
-  common::put_u32(body, static_cast<std::uint32_t>(ads_n + news_n));
-  for (const Payload& p : s.ads) {
-    common::put_u32(body, static_cast<std::uint32_t>(p.name.size()));
-    body.append(p.name);
-    common::put_u32(body, static_cast<std::uint32_t>(p.data.size()));
-    body.append(p.data);
-  }
+  // delivered exactly once, matching the seed's ordering byte for byte. The
+  // body is sized up front, so it is the one allocation of the response.
+  std::size_t body_size = 8;  // "PLS1" + count
+  for (const Payload& p : s.ads) body_size += payload_wire_size(p);
   for (auto it = news_begin; it != news_.end(); ++it) {
-    const Payload& p = it->second;
-    common::put_u32(body, static_cast<std::uint32_t>(p.name.size()));
-    body.append(p.name);
-    common::put_u32(body, static_cast<std::uint32_t>(p.data.size()));
-    body.append(p.data);
+    body_size += payload_wire_size(it->second);
+  }
+  common::Bytes body;
+  body.reserve(body_size);
+  body.append("PLS1");
+  common::put_u32(body, static_cast<std::uint32_t>(ads_n + news_n));
+  for (const Payload& p : s.ads) append_payload(body, p);
+  for (auto it = news_begin; it != news_.end(); ++it) {
+    append_payload(body, it->second);
   }
 
   counters_.pending_ads -= ads_n;
@@ -185,37 +184,41 @@ void RequestEngine::push_news(Payload payload) {
   news_.emplace_back(next_news_seq_++, std::move(payload));
 }
 
-std::vector<Entry> RequestEngine::take_new_entries() {
+std::span<const Entry> RequestEngine::take_new_entries() {
   // Everything before the watermark was returned by an earlier call; only
   // the new suffix is visited, so pickup cost tracks pending work, not the
   // server's full upload history.
-  const std::size_t scanned = entries_.size() - retrieved_mark_;
+  const std::size_t begin = retrieved_mark_;
+  const std::size_t scanned = entries_.size() - begin;
   scan_stats_.last_pickup_scanned = scanned;
   scan_stats_.total_pickup_scanned += scanned;
-  std::vector<Entry> out;
-  out.reserve(scanned);
-  for (std::size_t i = retrieved_mark_; i < entries_.size(); ++i) {
+  for (std::size_t i = begin; i < entries_.size(); ++i) {
     entries_[i].retrieved = true;
-    out.push_back(entries_[i]);
   }
   retrieved_mark_ = entries_.size();
-  return out;
+  return std::span<const Entry>(entries_).subspan(begin);
 }
 
 std::size_t RequestEngine::purge_retrieved(sim::TimePoint cutoff) {
-  // Invariant: entries_[0..retrieved_mark_) are retrieved and received_at is
-  // nondecreasing (simulated time is monotonic, and retrieval happens in
-  // arrival order). The purgeable set is therefore a prefix — the scan stops
-  // at the first young entry and never touches pending uploads.
-  std::size_t k = 0;
-  while (k < retrieved_mark_ && entries_[k].received_at <= cutoff) ++k;
-  const std::size_t scanned = k < retrieved_mark_ ? k + 1 : k;
+  // Invariant: entries_[head_..retrieved_mark_) are retrieved and
+  // received_at is nondecreasing (simulated time is monotonic, and
+  // retrieval happens in arrival order). The purgeable set is therefore a
+  // prefix — the scan stops at the first young entry and never touches
+  // pending uploads.
+  std::size_t end = head_;
+  while (end < retrieved_mark_ && entries_[end].received_at <= cutoff) ++end;
+  const std::size_t k = end - head_;
+  const std::size_t scanned = end < retrieved_mark_ ? k + 1 : k;
   scan_stats_.last_purge_scanned = scanned;
   scan_stats_.total_purge_scanned += scanned;
-  if (k > 0) {
+  head_ = end;
+  if (head_ * 2 > entries_.size()) {
+    // Compact once the dead prefix outweighs the survivors: the move costs
+    // at most the entries purged since the last compaction.
     entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(k));
-    retrieved_mark_ -= k;
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    retrieved_mark_ -= head_;
+    head_ = 0;
   }
   return k;
 }
@@ -236,7 +239,7 @@ std::uint64_t RequestEngine::state_checksum() const {
     h = checksum_mix(h, s.contacts);
     h = checksum_mix(h, s.last_news_seq);
   }
-  for (const Entry& e : entries_) {
+  for (const Entry& e : entries()) {
     h = checksum_mix_bytes(h, e.client_id);
     h = checksum_mix_bytes(h, e.data_name);
     h = checksum_mix(h, e.blob.key_id);
@@ -245,7 +248,7 @@ std::uint64_t RequestEngine::state_checksum() const {
     h = checksum_mix(h, e.retrieved ? 1u : 0u);
     h = checksum_mix(h, e.id);
   }
-  h = checksum_mix(h, retrieved_mark_);
+  h = checksum_mix(h, retrieved_watermark());
   h = checksum_mix(h, news_.size());
   h = checksum_mix(h, next_news_seq_);
   h = checksum_mix(h, next_entry_id_);

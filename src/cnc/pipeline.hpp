@@ -85,12 +85,16 @@ class RequestEngine {
   // --- dead-drop management (attack-center side) ---
   void push_ad(std::string_view client_id, Payload payload);
   void push_news(Payload payload);
-  /// New (unretrieved) entries; marks them retrieved. O(new): everything
-  /// before the retrieved watermark has already been picked up.
-  std::vector<Entry> take_new_entries();
-  /// Deletes retrieved entries with received_at <= cutoff. O(purged +
-  /// remaining move): retrieved entries form a time-ordered prefix, so the
-  /// purgeable set is a prefix and the scan never visits pending entries.
+  /// New (unretrieved) entries, marked retrieved and returned in place: the
+  /// span is the suffix of entries() past the old watermark, no copies.
+  /// O(new). Valid until the next handle() or purge_retrieved().
+  std::span<const Entry> take_new_entries();
+  /// Deletes retrieved entries with received_at <= cutoff. Amortised
+  /// O(purged): retrieved entries form a time-ordered prefix, so the scan
+  /// stops at the first young entry and the purged prefix is dropped by
+  /// advancing a head index. The storage is compacted only once the head
+  /// passes half of it, so each surviving entry is moved O(1) times per
+  /// entry purged.
   std::size_t purge_retrieved(sim::TimePoint cutoff);
 
   // --- bounded access log ---
@@ -111,9 +115,14 @@ class RequestEngine {
   // --- inspection ---
   const Counters& counters() const { return counters_; }
   const ScanStats& scan_stats() const { return scan_stats_; }
-  const std::vector<Entry>& entries() const { return entries_; }
+  /// Entries still on disk, in arrival order. Valid until the next
+  /// handle() or purge_retrieved().
+  std::span<const Entry> entries() const {
+    return std::span<const Entry>(entries_).subspan(head_);
+  }
   std::size_t news_count() const { return news_.size(); }
-  std::size_t retrieved_watermark() const { return retrieved_mark_; }
+  /// entries()[0..watermark) have been picked up.
+  std::size_t retrieved_watermark() const { return retrieved_mark_ - head_; }
   ClientIndex& clients() { return index_; }
   const ClientIndex& clients() const { return index_; }
   /// Clients that have actually contacted the server (ad-only targets that
@@ -160,8 +169,9 @@ class RequestEngine {
   std::vector<std::pair<std::uint64_t, Payload>> news_;
   std::uint64_t next_news_seq_ = 1;
 
-  std::vector<Entry> entries_;
-  std::size_t retrieved_mark_ = 0;  ///< entries_[0..mark) are retrieved
+  std::vector<Entry> entries_;   ///< [0..head_) purged, awaiting compaction
+  std::size_t head_ = 0;
+  std::size_t retrieved_mark_ = 0;  ///< entries_[head_..mark) are retrieved
   std::uint64_t next_entry_id_ = 1;
 
   std::vector<std::string> access_log_;

@@ -96,7 +96,7 @@ void CncServer::push_news(Payload payload) {
   engine_.push_news(std::move(payload));
 }
 
-std::vector<Entry> CncServer::take_new_entries() {
+std::span<const Entry> CncServer::take_new_entries() {
   return engine_.take_new_entries();
 }
 

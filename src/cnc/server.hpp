@@ -20,6 +20,7 @@
 // dumps are byte-identical to the seed's eager row-per-beacon updates.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,8 +65,10 @@ class CncServer {
   void push_news(Payload payload);
   /// New (unretrieved) entries; marks them retrieved. Entry *files* stay on
   /// disk until the purge task runs — deletion follows pickup, not the
-  /// other way around. O(new) via the engine's retrieved watermark.
-  std::vector<Entry> take_new_entries();
+  /// other way around. O(new) via the engine's retrieved watermark, and no
+  /// copies: the span views the stored entries and is valid until the next
+  /// handle() or purge_retrieved().
+  std::span<const Entry> take_new_entries();
   /// Deletes retrieved entries older than `max_age`; the scheduled cleanup.
   /// O(purged): retrieved entries form a time-ordered prefix.
   std::size_t purge_retrieved(sim::Duration max_age);
@@ -95,7 +98,8 @@ class CncServer {
     return engine_.access_log_dropped();
   }
   void set_access_log_cap(std::size_t cap) { engine_.set_access_log_cap(cap); }
-  const std::vector<Entry>& entries() const { return engine_.entries(); }
+  /// Valid until the next handle() or purge_retrieved().
+  std::span<const Entry> entries() const { return engine_.entries(); }
   std::size_t pending_ads() const { return engine_.counters().pending_ads; }
   std::size_t news_count() const { return engine_.news_count(); }
   std::uint64_t total_upload_bytes() const {

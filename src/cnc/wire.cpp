@@ -2,15 +2,17 @@
 
 namespace cyd::cnc {
 
+void append_payload(common::Bytes& out, const Payload& p) {
+  common::put_u32(out, static_cast<std::uint32_t>(p.name.size()));
+  out.append(p.name);
+  common::put_u32(out, static_cast<std::uint32_t>(p.data.size()));
+  out.append(p.data);
+}
+
 common::Bytes serialize_payloads(const std::vector<Payload>& payloads) {
   common::Bytes out("PLS1");
   common::put_u32(out, static_cast<std::uint32_t>(payloads.size()));
-  for (const auto& p : payloads) {
-    common::put_u32(out, static_cast<std::uint32_t>(p.name.size()));
-    out.append(p.name);
-    common::put_u32(out, static_cast<std::uint32_t>(p.data.size()));
-    out.append(p.data);
-  }
+  for (const auto& p : payloads) append_payload(out, p);
   return out;
 }
 

@@ -58,7 +58,14 @@ struct Entry {
 };
 
 // --- PLS1: counted payload list ---
+/// "PLS1", u32 count, then one element per payload.
 common::Bytes serialize_payloads(const std::vector<Payload>& payloads);
+/// Appends one PLS1 element: u32 name length, name, u32 data length, data.
+void append_payload(common::Bytes& out, const Payload& p);
+/// Bytes append_payload() adds for `p`.
+inline std::size_t payload_wire_size(const Payload& p) {
+  return 8 + p.name.size() + p.data.size();
+}
 /// Owned parse; empty vector on any malformed input (and for a valid empty
 /// list — the callers treat both as "nothing delivered").
 std::vector<Payload> parse_payloads(std::string_view bytes);

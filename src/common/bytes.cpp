@@ -72,12 +72,27 @@ double shannon_entropy(std::string_view data) {
   if (data.empty()) return 0.0;
   std::array<std::size_t, 256> counts{};
   for (unsigned char c : data) ++counts[c];
+  // p * log2(p) depends on the count alone, and a buffer has far fewer
+  // distinct counts than byte values, so each term is computed once per
+  // count and kept in a small direct-mapped memo (count 0 never enters, so
+  // it marks a free slot; a colliding count just recomputes). The terms are
+  // still subtracted in byte order 0..255, so the double is bit-identical
+  // to the one-log2-per-byte-value loop.
+  struct Term {
+    std::size_t count = 0;
+    double value = 0.0;
+  };
+  std::array<Term, 256> memo{};
   double entropy = 0.0;
   const double n = static_cast<double>(data.size());
   for (std::size_t count : counts) {
     if (count == 0) continue;
-    const double p = static_cast<double>(count) / n;
-    entropy -= p * std::log2(p);
+    Term& term = memo[count % memo.size()];
+    if (term.count != count) {
+      const double p = static_cast<double>(count) / n;
+      term = Term{count, p * std::log2(p)};
+    }
+    entropy -= term.value;
   }
   return entropy;
 }

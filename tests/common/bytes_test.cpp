@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "pe/image.hpp"
 #include "sim/rng.hpp"
 
 namespace cyd::common {
@@ -87,6 +95,74 @@ TEST(BytesTest, EnglishTextScoresMidEntropy) {
   const double e = shannon_entropy(text);
   EXPECT_GT(e, 3.0);
   EXPECT_LT(e, 5.5);
+}
+
+/// The one-log2-per-byte-value loop shannon_entropy used before it memoized
+/// terms per count; kept as the oracle its doubles must match bit for bit.
+double entropy_oracle(std::string_view data) {
+  if (data.empty()) return 0.0;
+  std::array<std::size_t, 256> counts{};
+  for (unsigned char c : data) ++counts[c];
+  double entropy = 0.0;
+  const double n = static_cast<double>(data.size());
+  for (std::size_t count : counts) {
+    if (count == 0) continue;
+    const double p = static_cast<double>(count) / n;
+    entropy -= p * std::log2(p);
+  }
+  return entropy;
+}
+
+void expect_entropy_bits_equal(std::string_view data, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(shannon_entropy(data)),
+            std::bit_cast<std::uint64_t>(entropy_oracle(data)))
+      << what << " (" << data.size() << " bytes)";
+}
+
+TEST(BytesTest, EntropyBitIdenticalToPerByteValueLoop) {
+  sim::Rng rng(2013);
+  for (const std::size_t n : {1u, 7u, 256u, 2900u, 65536u}) {
+    expect_entropy_bits_equal(random_bytes(rng, n), "random");
+  }
+  const std::string text =
+      "The Middle East is currently the target of an unprecedented campaign "
+      "of cyber attacks: Stuxnet, Duqu, Flame, Gauss and Shamoon.";
+  expect_entropy_bits_equal(text, "text");
+  std::string long_text;
+  for (int i = 0; i < 40; ++i) long_text += text;
+  expect_entropy_bits_equal(long_text, "long text");
+  expect_entropy_bits_equal(Bytes(1, 'A'), "constant");
+  expect_entropy_bits_equal(Bytes(1024, 'A'), "constant");
+  Bytes all;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 256; ++i) all.push_back(static_cast<char>(i));
+    expect_entropy_bits_equal(all, "all-256");
+  }
+  // Counts 1, 257, 513 and 769, twice each, share a memo slot.
+  Bytes colliding;
+  for (int b = 0; b < 8; ++b) {
+    colliding.append(static_cast<std::size_t>(1 + 256 * (b % 4)),
+                     static_cast<char>(b));
+  }
+  expect_entropy_bits_equal(colliding, "colliding counts");
+
+  const pe::Image image =
+      pe::Builder{}
+          .program("entropy.probe")
+          .section(".text", Bytes(3000, '\x90') + random_bytes(rng, 700), true)
+          .section(".packed", random_bytes(rng, 4096), true)
+          .section(".data", long_text, false, true)
+          .resource(101, "CONFIG", text)
+          .encrypted_resource(102, "PKCS12", long_text, 0x5a)
+          .import("kernel32.dll", {"CreateFileW", "WriteFile"})
+          .build();
+  for (const pe::Section& section : image.sections) {
+    expect_entropy_bits_equal(section.data, section.name.c_str());
+  }
+  for (const pe::Resource& resource : image.resources) {
+    expect_entropy_bits_equal(resource.data, resource.name.c_str());
+  }
+  expect_entropy_bits_equal(image.serialize(), "serialized image");
 }
 
 TEST(BytesTest, RandomBytesExactLength) {
